@@ -20,6 +20,7 @@ from .closedform import (
     selberg_integral,
 )
 from .entangle import (
+    EmbeddedAverage,
     MaxCorrelatedState,
     average_embedded_entanglement,
     cnot_embed,
@@ -49,6 +50,7 @@ from .montecarlo import (
     TailReport,
     concentration_sweep,
     estimate_functional,
+    estimate_induced,
     estimate_isospectral_coherence,
     lipschitz_check,
     tail_experiment,

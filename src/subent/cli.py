@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -182,9 +183,18 @@ def _parse_eps(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad epsilon list {text!r}") from exc
-    if not values or any(e <= 0 for e in values):
-        raise UsageError("epsilons must be a comma list of positive numbers")
+    if not values or not all(math.isfinite(e) and e > 0 for e in values):
+        raise UsageError("epsilons must be a comma list of positive finite numbers")
     return values
+
+
+def _check_pair(args, command: str, min_m: int) -> None:
+    if args.m is None or args.n is None:
+        raise UsageError(f"{command} needs --m and --n")
+    if args.m < min_m:
+        raise UsageError(f"{command} needs m >= {min_m}")
+    if args.m > args.n:
+        raise UsageError("need m <= n")
 
 
 def _z_score(mean: float, target: float, stderr: float) -> float:
@@ -193,6 +203,42 @@ def _z_score(mean: float, target: float, stderr: float) -> float:
             return 0.0
         return float("inf") if mean > target else float("-inf")
     return (mean - target) / stderr
+
+
+def _average_row(head: dict, args, est, target) -> dict:
+    """A Monte Carlo average next to its exact target; `head` leads the record."""
+    return {
+        **head,
+        "m": args.m,
+        "n": args.n,
+        "samples": args.samples,
+        "mean": est.mean,
+        "variance": est.variance,
+        "stderr": est.stderr,
+        "count": est.count,
+        "target": str(target),
+        "target_float": float(target),
+        "z": _z_score(est.mean, float(target), est.stderr),
+    }
+
+
+def _tail_rows(m: int, n: int, reports) -> tuple[list[dict], bool]:
+    """Tail records, and whether any fraction exceeds its bound."""
+    rows = [
+        {
+            "record": "tail",
+            "m": m,
+            "n": n,
+            "epsilon": report.epsilon,
+            "center": report.center,
+            "empirical_fraction": report.empirical_fraction,
+            "levy_bound": report.levy_bound,
+            "count": report.count,
+            "ok": report.empirical_fraction <= min(1.0, report.levy_bound),
+        }
+        for report in reports
+    ]
+    return rows, not all(row["ok"] for row in rows)
 
 
 # ----------------------------------------------------------------------------
@@ -207,12 +253,7 @@ def _cmd_formula(args, settings) -> tuple[list[dict], bool, dict]:
             raise UsageError("sweeps need both --m/--m-range and --n/--n-range")
         pairs = [(m, n) for m in ms for n in ns if m <= n]
     else:
-        if args.m is None or args.n is None:
-            raise UsageError("formula needs --m and --n (or ranges)")
-        if args.m < 1:
-            raise UsageError("--m must be >= 1")
-        if args.m > args.n:
-            raise UsageError("need m <= n")
+        _check_pair(args, "formula (without ranges)", 1)
         pairs = [(args.m, args.n)]
     rows = []
     for m, n in pairs:
@@ -256,38 +297,21 @@ _TARGETS = {
 
 
 def _cmd_estimate(args, settings) -> tuple[list[dict], bool, dict]:
-    if args.m is None or args.n is None:
-        raise UsageError("estimate needs --m and --n")
-    if args.m < 1:
-        raise UsageError("--m must be >= 1")
-    if args.m > args.n:
-        raise UsageError("need m <= n")
+    _check_pair(args, "estimate", 1)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
-    whichs = list(_TARGETS) if args.which == "all" else [args.which]
-    rows = []
-    for which in whichs:
-        est = montecarlo.estimate_functional(
-            args.m, args.n, which, args.samples, settings["seed"],
-            chunk=settings["chunk"], workers=settings["workers"],
-        )
-        target = _TARGETS[which](args.m, args.n)
-        rows.append(
-            {
-                "record": "estimate",
-                "which": which,
-                "m": args.m,
-                "n": args.n,
-                "samples": args.samples,
-                "mean": est.mean,
-                "variance": est.variance,
-                "stderr": est.stderr,
-                "count": est.count,
-                "target": str(target),
-                "target_float": float(target),
-                "z": _z_score(est.mean, float(target), est.stderr),
-            }
-        )
+    seed, chunking = settings["seed"], {"chunk": settings["chunk"], "workers": settings["workers"]}
+    if args.which == "all":
+        estimates, _ = montecarlo.estimate_induced(
+            args.m, args.n, args.samples, seed, tuple(_TARGETS), **chunking)
+    else:
+        estimates = {args.which: montecarlo.estimate_functional(
+            args.m, args.n, args.which, args.samples, seed, **chunking)}
+    rows = [
+        _average_row({"record": "estimate", "which": which}, args, est,
+                     _TARGETS[which](args.m, args.n))
+        for which, est in estimates.items()
+    ]
     params = {
         "m": args.m,
         "n": args.n,
@@ -325,32 +349,11 @@ def _cmd_concentration(args, settings) -> tuple[list[dict], bool, dict]:
                 }
             )
     else:
-        if args.m is None or args.n is None:
-            raise UsageError("concentration needs --m and --n, or --m-range")
-        if args.m < 3:
-            raise UsageError("the tail bound needs m >= 3")
-        if args.m > args.n:
-            raise UsageError("need m <= n")
-        reports = montecarlo.tail_experiment(
+        _check_pair(args, "concentration (without --m-range)", 3)
+        rows, violation = _tail_rows(args.m, args.n, montecarlo.tail_experiment(
             args.m, args.n, _parse_eps(args.eps), args.samples, settings["seed"],
             chunk=settings["chunk"], workers=settings["workers"],
-        )
-        for report in reports:
-            ok = report.empirical_fraction <= min(1.0, report.levy_bound)
-            violation |= not ok
-            rows.append(
-                {
-                    "record": "tail",
-                    "m": args.m,
-                    "n": args.n,
-                    "epsilon": report.epsilon,
-                    "center": report.center,
-                    "empirical_fraction": report.empirical_fraction,
-                    "levy_bound": report.levy_bound,
-                    "count": report.count,
-                    "ok": ok,
-                }
-            )
+        ))
     params = {
         "m": args.m,
         "n": args.n,
@@ -427,55 +430,16 @@ def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
 
 
 def _cmd_entangle(args, settings) -> tuple[list[dict], bool, dict]:
-    if args.m is None or args.n is None:
-        raise UsageError("entangle needs --m and --n")
-    if args.m < 3:
-        raise UsageError("the embedded average needs m >= 3")
-    if args.m > args.n:
-        raise UsageError("need m <= n")
+    _check_pair(args, "entangle", 3)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
     est = average_embedded_entanglement(
         args.m, args.n, args.samples, settings["seed"],
-        chunk=settings["chunk"], workers=settings["workers"],
+        chunk=settings["chunk"], workers=settings["workers"], epsilons=_parse_eps(args.eps),
     )
     target = closedform.average_coherence_exact(args.m, args.n)
-    rows = [
-        {
-            "record": "entanglement",
-            "m": args.m,
-            "n": args.n,
-            "samples": args.samples,
-            "mean": est.mean,
-            "variance": est.variance,
-            "stderr": est.stderr,
-            "count": est.count,
-            "target": str(target),
-            "target_float": float(target),
-            "z": _z_score(est.mean, float(target), est.stderr),
-        }
-    ]
-    violation = False
-    reports = montecarlo.tail_experiment(
-        args.m, args.n, _parse_eps(args.eps), args.samples, settings["seed"],
-        chunk=settings["chunk"], workers=settings["workers"],
-    )
-    for report in reports:
-        ok = report.empirical_fraction <= min(1.0, report.levy_bound)
-        violation |= not ok
-        rows.append(
-            {
-                "record": "tail",
-                "m": args.m,
-                "n": args.n,
-                "epsilon": report.epsilon,
-                "center": report.center,
-                "empirical_fraction": report.empirical_fraction,
-                "levy_bound": report.levy_bound,
-                "count": report.count,
-                "ok": ok,
-            }
-        )
+    tails, violation = _tail_rows(args.m, args.n, est.tails)
+    rows = [_average_row({"record": "entanglement"}, args, est, target)] + tails
     params = {
         "m": args.m,
         "n": args.n,

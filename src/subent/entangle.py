@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import DEFAULT_CHUNK, MonteCarloEstimate, estimate_functional
+from .montecarlo import DEFAULT_CHUNK, MonteCarloEstimate, TailReport, estimate_induced
 from .qcore import DensityMatrix, relative_entropy_coherence
 
 
@@ -59,6 +59,13 @@ def entanglement_measures(chi: MaxCorrelatedState) -> tuple[float, float]:
     return value, value
 
 
+@dataclass(frozen=True)
+class EmbeddedAverage(MonteCarloEstimate):
+    """Average embedded entanglement, with coherence tails from the same draws."""
+
+    tails: tuple[TailReport, ...] = ()
+
+
 def average_embedded_entanglement(
     m: int,
     n: int,
@@ -66,12 +73,17 @@ def average_embedded_entanglement(
     seed: int,
     chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
-) -> MonteCarloEstimate:
+    epsilons=(),
+) -> EmbeddedAverage:
     """Average entanglement of embeddings of induced-measure random sources.
 
     Evaluated through the coherence identity, so this is exactly the average
-    coherence of the sources.
+    coherence of the sources. The coherence tail reports at `epsilons` come
+    from the same draws.
     """
     if m < 3:
         raise DomainError("the average is stated for m >= 3")
-    return estimate_functional(m, n, "coherence", samples, seed, chunk=chunk, workers=workers)
+    estimates, tails = estimate_induced(m, n, samples, seed, ("coherence",), epsilons,
+                                        chunk, workers)
+    est = estimates["coherence"]
+    return EmbeddedAverage(est.mean, est.variance, est.count, tuple(tails))

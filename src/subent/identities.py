@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy import integrate
-
 from .closedform import harmonic
 from .errors import DimensionOrder, DomainError, QuadratureFailure
 
@@ -124,6 +122,8 @@ def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
     an ordinary integral over the (m-1)-simplex. A rough pass fixes the
     scale, then a second pass integrates to the certified tolerance.
     """
+    from scipy import integrate  # deferred: the only scipy use, and its slowest import
+
     target = QUADRATURE_TARGETS[m]
 
     if m == 2:

@@ -10,6 +10,7 @@ is resampled, since that would bias the measure.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -120,9 +121,17 @@ def _chunk_sizes(samples: int, chunk: int) -> list[int]:
     return sizes
 
 
+def _tasks(head: tuple, seed: int, samples: int, chunk: int) -> list[tuple]:
+    """One task per chunk: `head`, then the seed, chunk index and chunk size."""
+    return [(*head, seed, index, size) for index, size in enumerate(_chunk_sizes(samples, chunk))]
+
+
 def _run_ordered(fn, tasks, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(workers, len(tasks), usable)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
 
@@ -153,15 +162,57 @@ def _functional_samples(which: str, lams: np.ndarray, diag: np.ndarray) -> np.nd
         return entropy_values(lams)
     if which == "subentropy":
         return subentropy_values(lams)
-    if which == "coherence":
-        return np.maximum(entropy_values(diag) - entropy_values(lams), 0.0)
-    raise DomainError(f"unknown functional {which!r}")
+    return np.maximum(entropy_values(diag) - entropy_values(lams), 0.0)
 
 
-def _induced_chunk(task) -> MonteCarloEstimate:
-    m, n, which, seed, index, size = task
+def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
+    """Summaries of the functionals in `which` and, per epsilon, the number of
+    coherence samples farther than it from the center, all from one draw."""
+    m, n, which, epsilons, seed, index, size = task
     lams, diag = _induced_spectra(m, n, RngStream(seed, index), size)
-    return MonteCarloEstimate.from_samples(_functional_samples(which, lams, diag))
+    needed = set(which) | ({"coherence"} if epsilons else set())
+    values = {w: _functional_samples(w, lams, diag) for w in needed}
+    deviation = np.abs(values["coherence"] - (m - 1) / (2 * n)) if epsilons else None
+    summaries = {w: MonteCarloEstimate.from_samples(values[w]) for w in which}
+    return summaries, [int((deviation > eps).sum()) for eps in epsilons]
+
+
+def estimate_induced(
+    m: int,
+    n: int,
+    samples: int,
+    seed: int,
+    which=FUNCTIONALS,
+    epsilons=(),
+    chunk: int = DEFAULT_CHUNK,
+    workers: int = 1,
+) -> tuple[dict[str, MonteCarloEstimate], list[TailReport]]:
+    """Averages of the functionals in `which` and coherence tail reports at
+    `epsilons`, all from one draw of each chunk's stream.
+
+    Each result equals the one estimate_functional or tail_experiment returns
+    for it alone at the same seed and chunk size.
+    """
+    _check_dims(m, n)
+    if samples < 2:
+        raise DomainError("need at least two samples")
+    which = tuple(which)
+    if any(w not in FUNCTIONALS for w in which):
+        raise DomainError(f"which must be one of {FUNCTIONALS}")
+    eps = tuple(float(e) for e in epsilons)
+    if eps and m < 3:
+        raise DomainError("the concentration bound needs m >= 3")
+    if not all(math.isfinite(e) and e > 0 for e in eps):
+        raise DomainError("epsilons must be positive and finite")
+    parts = _run_ordered(_induced_chunk, _tasks((m, n, which, eps), seed, samples, chunk), workers)
+    estimates = {w: _merge([summaries[w] for summaries, _ in parts]) for w in which}
+    center = (m - 1) / (2 * n)
+    tails = [
+        TailReport(e, center, sum(counts[i] for _, counts in parts) / samples,
+                   levy_coherence_bound(m, n, e), samples)
+        for i, e in enumerate(eps)
+    ]
+    return estimates, tails
 
 
 def estimate_functional(
@@ -174,16 +225,8 @@ def estimate_functional(
     workers: int = 1,
 ) -> MonteCarloEstimate:
     """Average of one spectral functional over induced-measure random states."""
-    _check_dims(m, n)
-    if which not in FUNCTIONALS:
-        raise DomainError(f"which must be one of {FUNCTIONALS}")
-    if samples < 2:
-        raise DomainError("need at least two samples")
-    tasks = [
-        (m, n, which, seed, index, size)
-        for index, size in enumerate(_chunk_sizes(samples, chunk))
-    ]
-    return _merge(_run_ordered(_induced_chunk, tasks, workers))
+    estimates, _ = estimate_induced(m, n, samples, seed, (which,), (), chunk, workers)
+    return estimates[which]
 
 
 def _isospectral_chunk(task) -> MonteCarloEstimate:
@@ -217,19 +260,8 @@ def estimate_isospectral_coherence(
     if samples < 2:
         raise DomainError("need at least two samples")
     values = tuple(float(v) for v in spec.values)
-    tasks = [
-        (values, seed, index, size)
-        for index, size in enumerate(_chunk_sizes(samples, chunk))
-    ]
+    tasks = _tasks((values,), seed, samples, chunk)
     return _merge(_run_ordered(_isospectral_chunk, tasks, workers))
-
-
-def _tail_chunk(task) -> list[int]:
-    m, n, epsilons, center, seed, index, size = task
-    lams, diag = _induced_spectra(m, n, RngStream(seed, index), size)
-    coherence = np.maximum(entropy_values(diag) - entropy_values(lams), 0.0)
-    deviation = np.abs(coherence - center)
-    return [int((deviation > eps).sum()) for eps in epsilons]
 
 
 def tail_experiment(
@@ -242,26 +274,8 @@ def tail_experiment(
     workers: int = 1,
 ) -> list[TailReport]:
     """Empirical coherence tail fractions against the concentration bounds."""
-    if m < 3:
-        raise DomainError("the concentration bound needs m >= 3")
-    _check_dims(m, n)
-    if samples < 2:
-        raise DomainError("need at least two samples")
-    eps = tuple(float(e) for e in epsilons)
-    if any(e <= 0 for e in eps):
-        raise DomainError("epsilons must be positive")
-    center = (m - 1) / (2 * n)
-    tasks = [
-        (m, n, eps, center, seed, index, size)
-        for index, size in enumerate(_chunk_sizes(samples, chunk))
-    ]
-    totals = [0] * len(eps)
-    for counts in _run_ordered(_tail_chunk, tasks, workers):
-        totals = [a + b for a, b in zip(totals, counts)]
-    return [
-        TailReport(e, center, total / samples, levy_coherence_bound(m, n, e), samples)
-        for e, total in zip(eps, totals)
-    ]
+    _, tails = estimate_induced(m, n, samples, seed, (), epsilons, chunk, workers)
+    return tails
 
 
 def concentration_sweep(
@@ -271,12 +285,22 @@ def concentration_sweep(
     chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
 ) -> list[ConcentrationRow]:
-    """Sample spread of the coherence at n = m across a grid of dimensions."""
+    """Sample spread of the coherence at n = m across a grid of dimensions.
+
+    Every dimension is validated before any sample is drawn, and the chunks
+    of all dimensions share one worker pool.
+    """
+    ms = list(ms)
+    if any(m < 2 for m in ms):
+        raise DomainError("the sweep needs m >= 2")
+    if samples < 2:
+        raise DomainError("need at least two samples")
+    tasks = [task for m in ms for task in _tasks((m, m, ("coherence",), ()), seed, samples, chunk)]
+    parts = _run_ordered(_induced_chunk, tasks, workers)
+    per_m = len(_chunk_sizes(samples, chunk))
     rows = []
-    for m in ms:
-        if m < 2:
-            raise DomainError("the sweep needs m >= 2")
-        est = estimate_functional(m, m, "coherence", samples, seed, chunk, workers)
+    for i, m in enumerate(ms):
+        est = _merge([summaries["coherence"] for summaries, _ in parts[i * per_m:(i + 1) * per_m]])
         rows.append(
             ConcentrationRow(m, est.mean, est.stddev, est.stderr, est.count, (m - 1) / (2 * m))
         )
@@ -339,10 +363,7 @@ def lipschitz_check(
         raise DomainError(f"which must be one of {LIPSCHITZ_FUNCTIONALS}")
     if pairs < 1:
         raise DomainError("need at least one pair")
-    tasks = [
-        (m, n, which, seed, index, size)
-        for index, size in enumerate(_chunk_sizes(pairs, chunk))
-    ]
+    tasks = _tasks((m, n, which), seed, pairs, chunk)
     peak, evaluated, skipped = 0.0, 0, 0
     for part_peak, part_evaluated, part_skipped in _run_ordered(_lipschitz_chunk, tasks, workers):
         peak = max(peak, part_peak)

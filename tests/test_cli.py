@@ -1,7 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from subent import estimate_functional
 from subent.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -126,6 +130,52 @@ class TestConcentration:
         code = main(["concentration", "--m", "2", "--n", "2", "--samples", "100",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["concentration", "entangle"])
+    @pytest.mark.parametrize("eps", ["nan,0.1", "inf"])
+    def test_non_finite_eps_usage_error(self, tmp_path, command, eps):
+        out = tmp_path / "x"
+        code = main([command, "--m", "3", "--n", "3", "--eps", eps, "--samples", "200",
+                     "--workers", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+
+class TestOnePass:
+    """One draw per chunk serves every reduction a command asks for, with the
+    bytes that separate passes over the same streams produce."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_matches_separate_passes(self, tmp_path, workers):
+        common = ["--m", "3", "--n", "4", "--samples", "700", "--chunk", "128",
+                  "--seed", "13", "--workers", workers]
+
+        def payload(name, argv):
+            code, text = run_to_file(tmp_path, name, argv + common)
+            assert code == EXIT_OK
+            return payload_lines(text)
+
+        together = payload("all.json", ["estimate", "--which", "all"])
+        separate = [payload(f"{which}.json", ["estimate", "--which", which])
+                    for which in ("entropy", "subentropy", "coherence")]
+        assert together == [line for lines in separate for line in lines]
+
+        eps = ["--eps", "0.02,0.1,0.3"]
+        entangled = payload("n.json", ["entangle"] + eps)
+        average, coherence = json.loads(entangled[0]), json.loads(separate[2][0])
+        for key in ("mean", "variance", "stderr", "count"):
+            assert average[key] == coherence[key]
+        assert entangled[1:] == payload("c.json", ["concentration"] + eps)
+
+        code, text = run_to_file(
+            tmp_path, "s.json",
+            ["concentration", "--m-range", "2..4", "--samples", "700", "--chunk", "128",
+             "--seed", "13", "--workers", workers],
+        )
+        assert code == EXIT_OK
+        for row in records(text):
+            est = estimate_functional(row["m"], row["m"], "coherence", 700, 13, chunk=128)
+            assert (row["mean"], row["stddev"], row["count"]) == (est.mean, est.stddev, est.count)
 
 
 class TestIdentities:
@@ -269,6 +319,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert '"avg_coherence":"1/4"' in out.read_text(encoding="utf-8")
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, subent.cli\n"
+         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_violation_exit_code_is_distinct():

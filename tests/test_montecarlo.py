@@ -14,12 +14,14 @@ from subent import (
     average_subentropy_exact,
     concentration_sweep,
     estimate_functional,
+    estimate_induced,
     estimate_isospectral_coherence,
     harmonic,
     isospectral_average_coherence,
     lipschitz_check,
     tail_experiment,
 )
+from subent import montecarlo
 from subent.montecarlo import TailReport, _lipschitz_ratios
 from subent.sampling import complex_normals
 
@@ -162,6 +164,43 @@ class TestTailExperiment:
         with pytest.raises(ValueError):
             TailReport(0.1, 0.25, 1.5, 2.0, 10)
 
+    @pytest.mark.parametrize("eps", [[math.nan, 0.1], [math.inf], [0.1, -math.inf]])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(DomainError):
+            tail_experiment(3, 3, eps, 100, seed=0)
+        with pytest.raises(DomainError):
+            estimate_induced(3, 3, 100, seed=0, epsilons=eps)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(64, 3, [3]), (2, 3, [2]), (64, 16, [8]), (4, 1, [])],
+    )
+    def test_capped_at_tasks_and_usable_cpus(self, monkeypatch, workers, cpus, expected):
+        # 8 chunks; the fake pool records its size and maps in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        est = estimate_functional(2, 2, "coherence", 8 * 16, seed=3, chunk=16, workers=workers)
+        assert sizes == expected
+        assert est == estimate_functional(2, 2, "coherence", 8 * 16, seed=3, chunk=16)
+
 
 class TestConcentrationSweep:
     def test_stddev_decreases(self):
@@ -176,6 +215,14 @@ class TestConcentrationSweep:
     def test_validation(self):
         with pytest.raises(DomainError):
             concentration_sweep([1, 2], 100, seed=0)
+
+    def test_validates_every_m_before_drawing(self, monkeypatch):
+        def draw(*args):
+            pytest.fail("drew samples before validating every m")
+
+        monkeypatch.setattr(montecarlo, "_run_ordered", draw)
+        with pytest.raises(DomainError):
+            concentration_sweep([2, 3, 1], 100, seed=0)
 
 
 class TestLipschitz:
