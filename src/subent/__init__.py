@@ -4,9 +4,7 @@ averages, and Monte Carlo plus exact-arithmetic verification of both."""
 __version__ = "0.1.0"
 
 from .closedform import (
-    BigRational,
     ExactValue,
-    MeasureParams,
     average_coherence_exact,
     average_entropy_exact,
     average_subentropy_exact,

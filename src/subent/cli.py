@@ -68,7 +68,8 @@ class RunManifest:
 
 
 # ----------------------------------------------------------------------------
-# serialization: floats always carry 17 significant digits
+# serialization: floats always carry 17 significant digits; JSON has no
+# non-finite numbers, so those are written there as null
 
 
 def _fmt_float(value: float) -> str:
@@ -81,7 +82,7 @@ def _json_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt_float(value)
+        return _fmt_float(value) if math.isfinite(value) else "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):

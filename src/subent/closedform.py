@@ -10,16 +10,12 @@ products are evaluated in log-Gamma space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import qcore
 from .errors import DimensionOrder, DomainError
 from .qcore import Spectrum
-
-#: Exact rational arithmetic backing all integer-parameter formulas.
-BigRational = Fraction
 
 _LN2 = math.log(2.0)
 _harmonics: list[Fraction] = [Fraction(0)]
@@ -30,39 +26,6 @@ class ExactValue(NamedTuple):
 
     exact: Fraction
     approx: float
-
-
-@dataclass(frozen=True)
-class MeasureParams:
-    """Induced-measure parameters: system/ancilla dims or raw (alpha, gamma).
-
-    The dimensional form (m, n) with m <= n is the partial-trace measure and
-    corresponds to alpha = n - m + 1, gamma = 1; the raw form carries the
-    eigenvalue-density exponents directly and leaves m, n unset.
-    """
-
-    alpha: float
-    gamma: float
-    m: int | None = None
-    n: int | None = None
-
-    @classmethod
-    def from_dimensions(cls, m: int, n: int) -> "MeasureParams":
-        if m < 1:
-            raise DomainError("system dimension must be positive")
-        if m > n:
-            raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
-        return cls(float(n - m + 1), 1.0, m, n)
-
-    @classmethod
-    def from_raw(cls, alpha: float, gamma: float) -> "MeasureParams":
-        if alpha <= 0 or gamma <= 0:
-            raise DomainError("alpha and gamma must be positive")
-        return cls(float(alpha), float(gamma))
-
-    @property
-    def is_dimensional(self) -> bool:
-        return self.m is not None
 
 
 def harmonic(k: int) -> Fraction:
@@ -132,21 +95,6 @@ def normalization_integral_log(m: int, alpha: float, gamma: float) -> float:
 def normalization_integral(m: int, alpha: float, gamma: float) -> float:
     """Total mass of the unnormalized eigenvalue density on the simplex."""
     return math.exp(normalization_integral_log(m, alpha, gamma))
-
-
-def aomoto_factor(m: int, k: int, alpha: float, beta: float, gamma: float) -> float:
-    """Aomoto's correction prod_{j<=k} (a + g(m-j)) / (a + b + g(2m-j-1)).
-
-    Multiplying the Selberg integral by this factor inserts the product of
-    the first k coordinates into the integrand. k = 0 is the empty product.
-    """
-    _selberg_domain(m, alpha, beta, gamma)
-    if not 0 <= k <= m:
-        raise DomainError(f"need 0 <= k <= m, got k={k}")
-    factor = 1.0
-    for j in range(1, k + 1):
-        factor *= (alpha + gamma * (m - j)) / (alpha + beta + gamma * (2 * m - j - 1))
-    return factor
 
 
 def average_subentropy_series(m: int, alpha: int) -> ExactValue:

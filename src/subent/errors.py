@@ -22,7 +22,7 @@ class ConvergenceFailure(SubentError):
 
 
 class SingularSample(SubentError):
-    """A probability-zero singular draw survived the retry."""
+    """A probability-zero singular draw; it is never redrawn, since that would bias the measure."""
 
 
 class QuadratureFailure(SubentError):

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import levy_coherence_bound
-from .errors import DimensionOrder, DomainError, SingularSample
+from .errors import DimensionOrder, DomainError
 from .qcore import Spectrum, entropy_values, subentropy_values
-from .sampling import RngStream, complex_normals
+# complex_normals is not called here; perfbench/inproc.py reads it from this module.
+from .sampling import RngStream, complex_normals, draw_haar, draw_induced, draw_pure  # noqa: F401
 
 DEFAULT_CHUNK = 1024
 FUNCTIONALS = ("entropy", "subentropy", "coherence")
@@ -143,20 +144,6 @@ def _merge(parts: list[MonteCarloEstimate]) -> MonteCarloEstimate:
     return merged
 
 
-def _induced_spectra(m: int, n: int, stream: RngStream, size: int):
-    """Spectra and diagonals of `size` induced-measure states from one stream."""
-    gen = stream.generator()
-    g = complex_normals(gen, size * m * n).reshape(size, m, n)
-    rho = g @ np.conjugate(np.swapaxes(g, 1, 2))
-    trace = np.einsum("sii->s", rho).real[:, None, None]
-    # componentwise: complex/scalar division would round twice
-    rho.real /= trace
-    rho.imag /= trace
-    lams = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    diag = np.clip(np.einsum("sii->si", rho).real, 0.0, None)
-    return lams, diag
-
-
 def _functional_samples(which: str, lams: np.ndarray, diag: np.ndarray) -> np.ndarray:
     if which == "entropy":
         return entropy_values(lams)
@@ -169,7 +156,9 @@ def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
     """Summaries of the functionals in `which` and, per epsilon, the number of
     coherence samples farther than it from the center, all from one draw."""
     m, n, which, epsilons, seed, index, size = task
-    lams, diag = _induced_spectra(m, n, RngStream(seed, index), size)
+    rho = draw_induced(m, n, RngStream(seed, index), size)
+    lams = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    diag = np.clip(np.einsum("sii->si", rho).real, 0.0, None)
     needed = set(which) | ({"coherence"} if epsilons else set())
     values = {w: _functional_samples(w, lams, diag) for w in needed}
     deviation = np.abs(values["coherence"] - (m - 1) / (2 * n)) if epsilons else None
@@ -232,15 +221,7 @@ def estimate_functional(
 def _isospectral_chunk(task) -> MonteCarloEstimate:
     values, seed, index, size = task
     lam = np.asarray(values, dtype=float)
-    m = lam.size
-    gen = RngStream(seed, index).generator()
-    g = complex_normals(gen, size * m * m).reshape(size, m, m)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    if np.any(d == 0):
-        raise SingularSample("QR met an exactly singular Ginibre draw")
-    u = q * (d / np.abs(d))[:, None, :]
-    diag = np.abs(u) ** 2 @ lam
+    diag = np.abs(draw_haar(lam.size, RngStream(seed, index), size)) ** 2 @ lam
     base = float(entropy_values(lam[None, :])[0])
     return MonteCarloEstimate.from_samples(np.maximum(entropy_values(diag) - base, 0.0))
 
@@ -332,11 +313,8 @@ def _lipschitz_ratios(psi, phi, m, n, which):
 
 def _lipschitz_chunk(task):
     m, n, which, seed, index, size = task
-    dim = m * n
-    gen = RngStream(seed, index).generator()
-    raw = complex_normals(gen, 2 * size * dim).reshape(size, 2, dim)
-    raw /= np.linalg.norm(raw, axis=2)[:, :, None]
-    ratios, skipped = _lipschitz_ratios(raw[:, 0, :], raw[:, 1, :], m, n, which)
+    pairs = draw_pure(m * n, RngStream(seed, index), 2 * size).reshape(size, 2, m * n)
+    ratios, skipped = _lipschitz_ratios(pairs[:, 0, :], pairs[:, 1, :], m, n, which)
     peak = float(ratios.max()) if ratios.size else 0.0
     return peak, int(ratios.size), skipped
 

@@ -33,9 +33,9 @@ _PROBE_TOL = 1e-11           # x^m probe deviation that triggers extended precis
 class Spectrum:
     """Descending, nonnegative eigenvalue vector renormalized to unit sum.
 
-    Values in [-1e-12, 0] are clamped to zero; anything more negative is
-    rejected. The sum must already be within 1e-9 of one and is then
-    renormalized exactly.
+    Non-finite values are rejected. Values in [-1e-12, 0] are clamped to
+    zero; anything more negative is rejected. The sum must already be within
+    1e-9 of one and is then renormalized exactly.
     """
 
     __slots__ = ("values",)
@@ -44,6 +44,8 @@ class Spectrum:
         arr = np.array(values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("a spectrum needs at least one eigenvalue")
+        if not np.isfinite(arr).all():
+            raise ValueError("eigenvalues must be finite")
         low = arr.min()
         if low < _VALUE_FLOOR:
             raise ValueError(f"eigenvalue {low:.6g} below the {_VALUE_FLOOR:g} floor")

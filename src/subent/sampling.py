@@ -5,6 +5,8 @@ Every draw reduces to one counter-based uniform stream keyed by
 transform from consecutive uniform pairs. A given RngStream value
 therefore always yields the same sample, and distinct stream ids give
 statistically independent streams without any jump-ahead bookkeeping.
+The batched draws return `size` samples from one stream as one array; the
+single-state functions wrap the first sample of a size-1 draw in its type.
 """
 
 from __future__ import annotations
@@ -78,37 +80,36 @@ def ginibre(rows: int, cols: int, rng: RngStream) -> np.ndarray:
     return complex_normals(gen, rows * cols).reshape(rows, cols)
 
 
-def haar_unitary(dim: int, rng: RngStream) -> UnitaryMatrix:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fixing.
+def draw_haar(dim: int, rng: RngStream, size: int) -> np.ndarray:
+    """`size` Haar unitaries from one stream, as a (size, dim, dim) array.
 
-    Each column of Q is multiplied by the phase of the matching diagonal
-    entry of R, which removes the sign ambiguity of the factorization and
-    makes the output exactly Haar. An exactly singular draw (probability
-    zero) is retried once.
+    Each is the Q factor of a Ginibre matrix with every column multiplied by
+    the phase of the matching diagonal entry of R, which removes the sign
+    ambiguity of the factorization and makes the output exactly Haar. An
+    exactly singular draw (probability zero) raises SingularSample; it is
+    never redrawn, since redrawing would bias the measure.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    gen = rng.generator()
-    for _ in range(2):
-        g = complex_normals(gen, dim * dim).reshape(dim, dim)
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        if np.all(d != 0):
-            return UnitaryMatrix(q * (d / np.abs(d)))
-    raise SingularSample("two consecutive singular Ginibre draws")
+    g = complex_normals(rng.generator(), size * dim * dim).reshape(size, dim, dim)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    if np.any(d == 0):
+        raise SingularSample("QR met an exactly singular Ginibre draw")
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def haar_pure_state(dim: int, rng: RngStream) -> PureState:
-    """Uniform state on the unit sphere: normalized complex Gaussian vector."""
+def draw_pure(dim: int, rng: RngStream, size: int) -> np.ndarray:
+    """`size` uniform unit vectors from one stream, as a (size, dim) array."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    gen = rng.generator()
-    v = complex_normals(gen, dim)
-    return PureState(v / np.linalg.norm(v))
+    v = complex_normals(rng.generator(), size * dim).reshape(size, dim)
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def induced_mixed_state(m: int, n: int, rng: RngStream) -> DensityMatrix:
-    """Random m x m state G G^H / tr(G G^H) for an m x n Ginibre draw.
+def draw_induced(m: int, n: int, rng: RngStream, size: int) -> np.ndarray:
+    """`size` random states G G^H / tr(G G^H) from one stream, as a (size, m, m)
+    array, each from an m x n Ginibre draw G.
 
     This matrix model realizes exactly the distribution of the m-dimensional
     marginal of a Haar-uniform pure state on an (m n)-dimensional space.
@@ -117,14 +118,28 @@ def induced_mixed_state(m: int, n: int, rng: RngStream) -> DensityMatrix:
         raise ValueError("system dimension must be positive")
     if m > n:
         raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
-    g = ginibre(m, n, rng)
-    rho = g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = np.trace(rho).real
+    g = complex_normals(rng.generator(), size * m * n).reshape(size, m, n)
+    rho = g @ np.conjugate(np.swapaxes(g, 1, 2))
+    trace = np.einsum("sii->s", rho).real[:, None, None]
     # componentwise: complex/scalar division would round twice
     rho.real /= trace
     rho.imag /= trace
-    return DensityMatrix(rho)
+    return rho
+
+
+def haar_unitary(dim: int, rng: RngStream) -> UnitaryMatrix:
+    """Haar-distributed unitary: the single draw of `draw_haar` on this stream."""
+    return UnitaryMatrix(draw_haar(dim, rng, 1)[0])
+
+
+def haar_pure_state(dim: int, rng: RngStream) -> PureState:
+    """Uniform state on the unit sphere: the single draw of `draw_pure` on this stream."""
+    return PureState(draw_pure(dim, rng, 1)[0])
+
+
+def induced_mixed_state(m: int, n: int, rng: RngStream) -> DensityMatrix:
+    """Random m x m induced-measure state: the single draw of `draw_induced` on this stream."""
+    return DensityMatrix(draw_induced(m, n, rng, 1)[0])
 
 
 def isospectral_state(spec: Spectrum, rng: RngStream) -> DensityMatrix:

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import sys
 import pytest
 
 from subent import estimate_functional
-from subent.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from subent.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunManifest, _emit, _z_score, main
 
 
 def run_to_file(tmp_path, name, argv):
@@ -294,6 +296,17 @@ class TestViolationExit:
         assert '"ok":false' in out.read_text()
 
 
+class TestJsonRecords:
+    def test_non_finite_fields_written_as_null(self):
+        stream = io.StringIO()
+        manifest = RunManifest("estimate", {}, 0, 1, "", "", "0")
+        rows = [{"z": _z_score(1.0, 0.0, 0.0), "mean": math.nan, "target": 0.1}]
+        _emit(stream, manifest, rows, "json")
+        line = stream.getvalue().splitlines()[1]
+        assert json.loads(line) == {"z": None, "mean": None, "target": 0.1}
+        assert line.endswith('"target":0.10000000000000001}')
+
+
 class TestCsvFormat:
     def test_mixed_rows_share_header(self, tmp_path):
         code, text = run_to_file(
@@ -308,6 +321,17 @@ class TestCsvFormat:
         assert len(lines) == 2 + 1 + 3  # manifest, header, estimate row, three tails
 
 
+def _source_env() -> dict:
+    """The environment with this checkout's `src` leading PYTHONPATH, so a
+    child interpreter imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.json"
     proc = subprocess.run(
@@ -316,22 +340,18 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=_source_env(),
     )
     assert proc.returncode == 0
     assert '"avg_coherence":"1/4"' in out.read_text(encoding="utf-8")
 
 
 def test_import_does_not_load_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, subent.cli\n"
          "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

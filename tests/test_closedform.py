@@ -8,7 +8,6 @@ from subent import (
     DimensionOrder,
     DomainError,
     EULER_GAMMA,
-    MeasureParams,
     Spectrum,
     average_coherence_exact,
     average_entropy_exact,
@@ -24,7 +23,7 @@ from subent import (
     subentropy,
     von_neumann_entropy,
 )
-from subent.closedform import aomoto_factor, normalization_integral_log
+from subent.closedform import normalization_integral_log
 
 
 class TestHarmonic:
@@ -98,23 +97,6 @@ class TestNormalizationIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             normalization_integral(2, 0.0, 1.0)
-
-
-class TestAomotoFactor:
-    def test_first_value(self):
-        assert aomoto_factor(1, 1, 1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_empty_product(self):
-        assert aomoto_factor(3, 0, 1.0, 2.0, 1.0) == 1.0
-
-    def test_in_unit_interval(self):
-        for k in (1, 2, 3):
-            factor = aomoto_factor(3, k, 1.5, 2.0, 1.0)
-            assert 0.0 < factor < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            aomoto_factor(3, 4, 1.0, 1.0, 1.0)
 
 
 class TestSeriesForm:
@@ -261,23 +243,3 @@ class TestLevyBounds:
             levy_coherence_bound_half(4, 0.2)  # needs m > 1/eps
         with pytest.raises(DomainError):
             levy_coherence_bound_half(2, 0.9)
-
-
-class TestMeasureParams:
-    def test_dimensional_form(self):
-        params = MeasureParams.from_dimensions(3, 7)
-        assert params.is_dimensional
-        assert params.alpha == 5.0
-        assert params.gamma == 1.0
-        assert (params.m, params.n) == (3, 7)
-
-    def test_raw_form(self):
-        params = MeasureParams.from_raw(2.5, 1.0)
-        assert not params.is_dimensional
-        assert params.m is None
-
-    def test_validation(self):
-        with pytest.raises(DimensionOrder):
-            MeasureParams.from_dimensions(4, 2)
-        with pytest.raises(DomainError):
-            MeasureParams.from_raw(0.0, 1.0)

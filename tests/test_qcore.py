@@ -60,6 +60,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum([bad, 0.5])
+
     def test_values_frozen(self):
         s = spec(0.5, 0.5)
         with pytest.raises(ValueError):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 from subent import (
     DimensionOrder,
     RngStream,
+    SingularSample,
     Spectrum,
     UnitaryMatrix,
+    estimate_isospectral_coherence,
     ginibre,
     haar_pure_state,
     haar_unitary,
@@ -17,12 +19,7 @@ from subent import (
     isospectral_state,
     spectrum_of,
 )
-from subent.sampling import complex_normals
-
-
-def _batch_normals(seed, stream, count, shape):
-    gen = RngStream(seed, stream).generator()
-    return complex_normals(gen, count * int(np.prod(shape))).reshape(count, *shape)
+from subent.sampling import complex_normals, draw_haar, draw_induced, draw_pure
 
 
 class TestRngStream:
@@ -89,24 +86,32 @@ class TestHaarUnitary:
 
     def test_first_entry_moment(self):
         # E|U_11|^2 = 1/2 for dim 2 by column uniformity
-        mats = _batch_normals(31, 0, 100_000, (2, 2))
-        q, r = np.linalg.qr(mats)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        u = q * (d / np.abs(d))[:, None, :]
+        u = draw_haar(2, RngStream(31, 0), 100_000)
         assert np.mean(np.abs(u[:, 0, 0]) ** 2) == pytest.approx(0.5, abs=0.01)
 
     def test_left_invariance_first_column_moments(self):
         dim = 3
         fourier = np.exp(2j * np.pi * np.outer(np.arange(dim), np.arange(dim)) / dim)
         fixed = UnitaryMatrix(fourier / math.sqrt(dim))
-        mats = _batch_normals(6, 1, 40_000, (dim, dim))
-        q, r = np.linalg.qr(mats)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        u = q * (d / np.abs(d))[:, None, :]
+        u = draw_haar(dim, RngStream(6, 1), 40_000)
         vu = fixed.entries @ u
         m_u = np.mean(np.abs(u[:, :, 0]) ** 4, axis=0)
         m_vu = np.mean(np.abs(vu[:, :, 0]) ** 4, axis=0)
         assert_allclose(m_u, m_vu, atol=0.01)
+
+    def test_singular_draw_raises_without_redraw(self, monkeypatch):
+        calls = []
+
+        def singular_qr(a):
+            calls.append(a.shape)
+            return np.zeros_like(a), np.zeros_like(a)
+
+        monkeypatch.setattr(np.linalg, "qr", singular_qr)
+        with pytest.raises(SingularSample):
+            haar_unitary(3, RngStream(1))
+        with pytest.raises(SingularSample):
+            estimate_isospectral_coherence(Spectrum([0.5, 0.3, 0.2]), 10, 1, workers=1)
+        assert len(calls) == 2
 
     def test_unitary_type_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -120,8 +125,7 @@ class TestHaarPureState:
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
     def test_component_moment(self):
-        states = _batch_normals(8, 0, 100_000, (4,))
-        states /= np.linalg.norm(states, axis=1)[:, None]
+        states = draw_pure(4, RngStream(8, 0), 100_000)
         assert np.mean(np.abs(states[:, 0]) ** 2) == pytest.approx(0.25, abs=0.005)
 
 
@@ -148,12 +152,20 @@ class TestInducedMixedState:
         )
         assert err < 1e-10
         assert oracle == pytest.approx(0.8, abs=1e-12)
-        mats = _batch_normals(14, 0, 100_000, (2, 2))
-        rho = mats @ np.conjugate(np.swapaxes(mats, 1, 2))
-        rho /= np.einsum("sii->s", rho).real[:, None, None]
+        rho = draw_induced(2, 2, RngStream(14, 0), 100_000)
         purity = np.einsum("sij,sji->s", rho, rho).real
         stderr = purity.std(ddof=1) / math.sqrt(purity.size)
         assert abs(purity.mean() - oracle) <= 3 * stderr
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_first_row_is_the_single_state(self, m):
+        rng = RngStream(21, m)
+        single = induced_mixed_state(m, m + 1, rng).entries
+        assert_array_equal(draw_induced(m, m + 1, rng, 5)[0], single)
+        assert_array_equal(draw_haar(m, rng, 5)[0], haar_unitary(m, rng).entries)
+        assert_array_equal(draw_pure(m, rng, 5)[0], haar_pure_state(m, rng).amplitudes)
 
 
 class TestIsospectralState:
@@ -189,16 +201,11 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
     def test_largest_eigenvalue_ks_distance(self, m, n):
         count = 50_000
-        mats = _batch_normals(100 + m, n, count, (m, n))
-        rho = mats @ np.conjugate(np.swapaxes(mats, 1, 2))
-        rho /= np.einsum("sii->s", rho).real[:, None, None]
-        lam_direct = np.linalg.eigvalsh(rho)[:, -1]
+        lam_direct = np.linalg.eigvalsh(draw_induced(m, n, RngStream(100 + m, n), count))[:, -1]
 
-        states = _batch_normals(200 + m, n, count, (m * n,))
-        states /= np.linalg.norm(states, axis=1)[:, None]
-        mats2 = states.reshape(count, m, n)
-        rho2 = mats2 @ np.conjugate(np.swapaxes(mats2, 1, 2))
-        lam_traced = np.linalg.eigvalsh(rho2)[:, -1]
+        mats = draw_pure(m * n, RngStream(200 + m, n), count).reshape(count, m, n)
+        rho = mats @ np.conjugate(np.swapaxes(mats, 1, 2))
+        lam_traced = np.linalg.eigvalsh(rho)[:, -1]
 
         distance = stats.ks_2samp(lam_direct, lam_traced).statistic
         assert distance < 0.01
