@@ -130,6 +130,8 @@ def _emit(stream, manifest: RunManifest, rows: list[dict], fmt: str) -> None:
 # ----------------------------------------------------------------------------
 # settings: flag > environment > config file > default
 
+_CONFIG_KEYS = ("seed", "chunk", "format", "workers")
+
 
 def _load_config(path: str) -> dict:
     settings: dict[str, str] = {}
@@ -142,7 +144,11 @@ def _load_config(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"malformed config line: {line!r}")
                 key, _, value = line.partition("=")
-                settings[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _CONFIG_KEYS:
+                    raise UsageError(f"unknown config key {key!r} in {path}; "
+                                     f"known keys: {', '.join(_CONFIG_KEYS)}")
+                settings[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return settings

@@ -3,8 +3,10 @@
 Integer-parameter averages are evaluated in exact rational arithmetic
 (digamma differences at integers reduce to harmonic differences, Gamma
 ratios to factorials), because the alternating series below cancel
-catastrophically in floats beyond m of about 15. Real-parameter Gamma
-products are evaluated in log-Gamma space.
+catastrophically in floats beyond m of about 15. The series terms are
+summed as integers over one common denominator, so a single `Fraction` is
+reduced per result. Real-parameter Gamma products are evaluated in
+log-Gamma space.
 """
 
 from __future__ import annotations
@@ -97,6 +99,28 @@ def normalization_integral(m: int, alpha: float, gamma: float) -> float:
     return math.exp(normalization_integral_log(m, alpha, gamma))
 
 
+def gamma_ratio_terms(m: int, n: int) -> list[int]:
+    """(-1)^k Gamma(m+n-k) / (k! Gamma(m-k) Gamma(n-k)) for k = 0..m-1, exactly.
+
+    Each term is (m+n-1-k) times the multinomial of m+n-2-k over
+    (k, m-1-k, n-1-k), so it is an integer and the division is exact.
+    """
+    f = math.factorial
+    return [
+        (-1) ** k * (f(m + n - 1 - k) // (f(k) * f(m - 1 - k) * f(n - 1 - k)))
+        for k in range(m)
+    ]
+
+
+def harmonic_weighted_sum(terms: list[int], top: int) -> Fraction:
+    """sum_k terms[k] H_{top-k}, summed in integers over the one denominator lcm(1..top)."""
+    denominator = math.lcm(*range(1, top + 1))
+    scaled = [0]  # scaled[j] = H_j * denominator
+    for j in range(1, top + 1):
+        scaled.append(scaled[-1] + denominator // j)
+    return Fraction(sum(t * scaled[top - k] for k, t in enumerate(terms)), denominator)
+
+
 def average_subentropy_series(m: int, alpha: int) -> ExactValue:
     """Average subentropy under the (alpha, 1) eigenvalue measure, summed exactly.
 
@@ -108,24 +132,19 @@ def average_subentropy_series(m: int, alpha: int) -> ExactValue:
               / (Gamma(k+1) Gamma(m-k) Gamma(m+alpha-1-k)),
 
     which for integer alpha is an exact rational: the Euler constants in the
-    digammas cancel and every Gamma is a factorial.
+    digammas cancel and every Gamma is a factorial. The u_k are the integer
+    `gamma_ratio_terms(m, m + alpha - 1)`, so the sum splits into
+    H_{scale} sum_k u_k - sum_k u_k H_{2(m-1)+alpha-k}, and only the second
+    part has a denominator.
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
     if alpha < 1 or int(alpha) != alpha:
         raise DomainError("exact summation needs an integer alpha >= 1")
-    alpha = int(alpha)
-    scale = m * (m + alpha - 1)
-    acc = Fraction(0)
-    for k in range(m):
-        top = 2 * (m - 1) + alpha - k
-        g = harmonic(scale) - harmonic(top)
-        u = Fraction(
-            math.factorial(top),
-            math.factorial(k) * math.factorial(m - 1 - k) * math.factorial(m + alpha - 2 - k),
-        )
-        acc += -g * u if k % 2 else g * u
-    value = acc / scale
+    n = m + int(alpha) - 1
+    scale = m * n
+    u = gamma_ratio_terms(m, n)
+    value = (harmonic(scale) * sum(u) - harmonic_weighted_sum(u, m + n - 1)) / scale
     return ExactValue(value, float(value))
 
 

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import harmonic
+from .closedform import gamma_ratio_terms, harmonic, harmonic_weighted_sum
 from .errors import DimensionOrder, DomainError, QuadratureFailure
 
 #: Relative accuracy the quadrature oracles must certify, per dimension.
@@ -43,19 +43,10 @@ def _check_pair(m: int, n: int) -> None:
         raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
 
 
-def _alternating_term(m: int, n: int, k: int) -> Fraction:
-    # (-1)^k Gamma(m+n-k) / (k! Gamma(m-k) Gamma(n-k)) with factorials
-    value = Fraction(
-        math.factorial(m + n - k - 1),
-        math.factorial(k) * math.factorial(m - k - 1) * math.factorial(n - k - 1),
-    )
-    return -value if k % 2 else value
-
-
 def gamma_ratio_sum_plain(m: int, n: int) -> IdentityReport:
     """sum_k (-1)^k Gamma(m+n-k) / (k! Gamma(m-k) Gamma(n-k)) = m n, exactly."""
     _check_pair(m, n)
-    lhs = sum((_alternating_term(m, n, k) for k in range(m)), Fraction(0))
+    lhs = Fraction(sum(gamma_ratio_terms(m, n)))
     rhs = Fraction(m * n)
     return IdentityReport("gamma_ratio_sum_plain", (m, n), lhs, rhs, lhs == rhs)
 
@@ -63,10 +54,7 @@ def gamma_ratio_sum_plain(m: int, n: int) -> IdentityReport:
 def gamma_ratio_sum_harmonic(m: int, n: int) -> IdentityReport:
     """Same alternating sum weighted by H_{m+n-1-k}, against m n (H_m + H_n - 1)."""
     _check_pair(m, n)
-    lhs = sum(
-        (_alternating_term(m, n, k) * harmonic(m + n - 1 - k) for k in range(m)),
-        Fraction(0),
-    )
+    lhs = harmonic_weighted_sum(gamma_ratio_terms(m, n), m + n - 1)
     rhs = m * n * (harmonic(m) + harmonic(n) - 1)
     return IdentityReport("gamma_ratio_sum_harmonic", (m, n), lhs, rhs, lhs == rhs)
 
@@ -75,25 +63,20 @@ def riordan_identity_check(m: int, n: int) -> IdentityReport:
     """Binomial-product expansion C(z,m) C(z,n) = sum_k multinomial * C(z, m+n-k).
 
     Both sides are degree m + n polynomials in z, so agreement at the
-    m + n + 1 integer points z = 0..m+n proves the identity. The report
-    stores the evaluation at z = m + n, or the first mismatching point.
+    m + n + 1 integer points z = 0..m+n proves the identity. The sides are
+    evaluated in integers; the report stores the evaluation at z = m + n, or
+    the first mismatching point.
     """
     _check_pair(m, n)
     degree = m + n
-    last = (Fraction(0), Fraction(0))
+    f = math.factorial
+    multinomials = [f(degree - k) // (f(k) * f(m - k) * f(n - k)) for k in range(m + 1)]
     for z in range(degree + 1):
-        lhs = Fraction(math.comb(z, m) * math.comb(z, n))
-        rhs = Fraction(0)
-        for k in range(m + 1):
-            multinomial = Fraction(
-                math.factorial(m + n - k),
-                math.factorial(k) * math.factorial(m - k) * math.factorial(n - k),
-            )
-            rhs += multinomial * math.comb(z, m + n - k)
-        last = (lhs, rhs)
+        lhs = math.comb(z, m) * math.comb(z, n)
+        rhs = sum(c * math.comb(z, degree - k) for k, c in enumerate(multinomials))
         if lhs != rhs:
-            return IdentityReport("riordan_product", (m, n), lhs, rhs, False)
-    return IdentityReport("riordan_product", (m, n), last[0], last[1], True)
+            break
+    return IdentityReport("riordan_product", (m, n), Fraction(lhs), Fraction(rhs), lhs == rhs)
 
 
 def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:

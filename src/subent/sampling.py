@@ -49,7 +49,10 @@ def complex_normals(gen: np.random.Generator, count: int) -> np.ndarray:
     u = gen.random(2 * count)
     radius = np.sqrt(-np.log1p(-u[0::2]))
     phase = (2.0 * np.pi) * u[1::2]
-    return radius * (np.cos(phase) + 1j * np.sin(phase))
+    out = np.empty(count, dtype=np.complex128)
+    np.multiply(radius, np.cos(phase), out=out.real)
+    np.multiply(radius, np.sin(phase), out=out.imag)
+    return out
 
 
 class UnitaryMatrix:

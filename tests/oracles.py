@@ -3,10 +3,16 @@
 These deliberately avoid the package's own evaluation paths: the subentropy
 oracle works from the raw pole-sum formula in extended precision, and the
 degenerate case is reached by symmetric eigenvalue perturbations followed by
-Richardson extrapolation instead of any confluent table.
+Richardson extrapolation instead of any confluent table. The exact-rational
+oracles build and reduce one `Fraction` per term, apart from the package's
+integer kernels that sum over one common denominator.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -86,3 +92,40 @@ def random_tied_spectrum(gen: np.random.Generator, m: int):
         if len(levels_n) > 1 and np.diff(levels_n).min() < 1e-3 * levels_n.max():
             continue
         return values
+
+
+def harmonic_numbers(top: int) -> list[Fraction]:
+    """H_0..H_top as running sums of reduced fractions 1/j."""
+    return list(accumulate((Fraction(1, j) for j in range(1, top + 1)), initial=Fraction(0)))
+
+
+def _gamma_ratio_term(m: int, n: int, k: int) -> Fraction:
+    # (-1)^k Gamma(m+n-k) / (k! Gamma(m-k) Gamma(n-k)) as one reduced fraction
+    f = math.factorial
+    value = Fraction(f(m + n - k - 1), f(k) * f(m - k - 1) * f(n - k - 1))
+    return -value if k % 2 else value
+
+
+def identity_sides(m: int, n: int) -> dict[str, tuple[Fraction, Fraction]]:
+    """(lhs, rhs) of the three binomial identities, summed term by term in fractions.
+
+    The Riordan sides are those at z = m + n, the last evaluation point.
+    """
+    h = harmonic_numbers(m + n)
+    terms = [_gamma_ratio_term(m, n, k) for k in range(m)]
+    z = m + n
+    riordan_rhs = Fraction(0)
+    for k in range(m + 1):
+        multinomial = Fraction(
+            math.factorial(m + n - k),
+            math.factorial(k) * math.factorial(m - k) * math.factorial(n - k),
+        )
+        riordan_rhs += multinomial * math.comb(z, m + n - k)
+    return {
+        "gamma_ratio_sum_plain": (sum(terms, Fraction(0)), Fraction(m * n)),
+        "gamma_ratio_sum_harmonic": (
+            sum((t * h[m + n - 1 - k] for k, t in enumerate(terms)), Fraction(0)),
+            m * n * (h[m] + h[n] - 1),
+        ),
+        "riordan_product": (Fraction(math.comb(z, m) * math.comb(z, n)), riordan_rhs),
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -269,6 +270,17 @@ class TestSettingsPrecedence:
         )
         assert json.loads(text.splitlines()[0])["seed"] == 6
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        # a misspelt key must not fall back to the default silently
+        config = tmp_path / "subent.cfg"
+        config.write_text("sed=5\nworkers=1\n", encoding="utf-8")
+        out = tmp_path / "a.json"
+        code = main(["estimate", "--m", "2", "--n", "2", "--samples", "100",
+                     "--config", str(config), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "'sed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
@@ -305,6 +317,28 @@ class TestJsonRecords:
         line = stream.getvalue().splitlines()[1]
         assert json.loads(line) == {"z": None, "mean": None, "target": 0.1}
         assert line.endswith('"target":0.10000000000000001}')
+
+
+class TestGoldenExactPayloads:
+    """SHA-256 of every line after the manifest, recorded with kernels that
+    reduced one `Fraction` per term. The records are exact rationals and
+    correctly rounded floats, so the digests do not depend on the machine."""
+
+    @pytest.mark.parametrize(
+        "argv, rows, digest",
+        [
+            (["formula", "--m-range", "1..40", "--n-range", "1..40"], 820,
+             "12a0f0629de0feaf0f5be7e58b8a37725d8c735febf7ba4c56119cd9c8e90678"),
+            (["identities", "--max-m", "20", "--max-n", "20"], 630,
+             "e60ae92c18e2e131464d6841150373a50767f75dd70538aa5329400af9b5ae7d"),
+        ],
+    )
+    def test_payload_digest(self, tmp_path, argv, rows, digest):
+        code, text = run_to_file(tmp_path, "g.json", argv)
+        assert code == EXIT_OK
+        body = text.split("\n", 1)[1]
+        assert len(body.splitlines()) == rows
+        assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
 
 
 class TestCsvFormat:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from scipy import integrate
 
+import oracles
 from subent import (
     DimensionOrder,
     DomainError,
@@ -122,6 +123,17 @@ class TestSeriesForm:
                     average_subentropy_series(m, n - m + 1).exact
                     == average_subentropy_exact(m, n)
                 )
+
+    def test_matches_term_by_term_harmonics_on_formula_grid(self):
+        # the m <= n <= 40 grid of `formula --m-range 1..40 --n-range 1..40`,
+        # against harmonic numbers summed fraction by fraction
+        h = oracles.harmonic_numbers(40 * 40)
+        for m in range(1, 41):
+            for n in range(m, 41):
+                value = average_subentropy_series(m, n - m + 1)
+                expected = 1 + h[m * n] - h[m] - h[n]
+                assert value.exact == expected, (m, n)
+                assert value.approx == float(expected), (m, n)
 
     def test_rejects_non_integer_alpha(self):
         with pytest.raises(DomainError):

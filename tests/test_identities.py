@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from subent import (
     DimensionOrder,
     DomainError,
@@ -75,6 +76,31 @@ class TestRiordanIdentity:
         z = 4
         assert report.lhs == Fraction(math.comb(z, 2) ** 2)
         assert report.lhs == report.rhs
+
+
+class TestAgainstTermByTermFractions:
+    def test_reports_equal_fraction_oracle(self):
+        for m in range(1, 21):
+            for n in range(m, 21):
+                sides = oracles.identity_sides(m, n)
+                for report in (
+                    gamma_ratio_sum_plain(m, n),
+                    gamma_ratio_sum_harmonic(m, n),
+                    riordan_identity_check(m, n),
+                ):
+                    assert report.parameters == (m, n)
+                    assert (report.lhs, report.rhs) == sides[report.name], (report.name, m, n)
+                    assert isinstance(report.lhs, Fraction) and isinstance(report.rhs, Fraction)
+                    assert report.holds
+
+    def test_riordan_reports_first_mismatching_point(self, monkeypatch):
+        # corrupt C(1, 1) only: at (m, n) = (1, 1) the sides first differ at
+        # z = 1 (lhs 2 * 2, rhs 2 C(1,2) + 2) and agree again at z = 2
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda z, k: comb(z, k) + (z == k == 1))
+        report = riordan_identity_check(1, 1)
+        assert not report.holds
+        assert (report.lhs, report.rhs) == (4, 2)
 
 
 class TestIdentityReport:

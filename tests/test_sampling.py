@@ -39,6 +39,17 @@ class TestRngStream:
         assert got[0] == complex(-0.10077365194486726, 0.17735473926998604)
         assert got[1] == complex(-0.3765286594017468, 0.5486513442191066)
 
+    def test_matches_polar_box_muller_bitwise(self):
+        # radius sqrt(-ln(1 - u0)), phase 2 pi u1, from the same uniform pairs
+        for count in (1, 5, 4096):
+            u = RngStream(8, 2).generator().random(2 * count)
+            radius = np.sqrt(-np.log1p(-u[0::2]))
+            phase = (2.0 * np.pi) * u[1::2]
+            got = complex_normals(RngStream(8, 2).generator(), count)
+            assert got.dtype == np.complex128 and got.shape == (count,)
+            assert np.array_equal(got.real.view(np.uint64), (radius * np.cos(phase)).view(np.uint64))
+            assert np.array_equal(got.imag.view(np.uint64), (radius * np.sin(phase)).view(np.uint64))
+
     def test_block_draws_concatenate(self):
         gen = RngStream(5, 1).generator()
         first = complex_normals(gen, 3)
