@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import gamma_ratio_terms, harmonic, harmonic_weighted_sum
-from .errors import DimensionOrder, DomainError, QuadratureFailure
+from .closedform import _check_pair, gamma_ratio_terms, harmonic, harmonic_weighted_sum
+from .errors import DomainError, QuadratureFailure
 
 #: Relative accuracy the quadrature oracles must certify, per dimension.
 QUADRATURE_TARGETS = {2: 1e-6, 3: 1e-4}
@@ -34,13 +34,6 @@ class IdentityReport:
     def __post_init__(self) -> None:
         if self.holds != (self.lhs == self.rhs):
             raise ValueError("holds flag contradicts the recorded sides")
-
-
-def _check_pair(m: int, n: int) -> None:
-    if m < 1:
-        raise DomainError("indices must be positive")
-    if m > n:
-        raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
 
 
 def gamma_ratio_sum_plain(m: int, n: int) -> IdentityReport:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import levy_coherence_bound
-from .errors import DimensionOrder, DomainError
+from .closedform import _check_pair, levy_coherence_bound
+from .errors import DomainError
 from .qcore import Spectrum, entropy_values, subentropy_values
 # complex_normals is not called here; perfbench/inproc.py reads it from this module.
 from .sampling import RngStream, complex_normals, draw_haar, draw_induced, draw_pure  # noqa: F401
@@ -106,13 +106,6 @@ class LipschitzReport:
     skipped: int
 
 
-def _check_dims(m: int, n: int) -> None:
-    if m < 1:
-        raise DomainError("system dimension must be positive")
-    if m > n:
-        raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
-
-
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
     if chunk < 1:
         raise DomainError("chunk size must be positive")
@@ -182,7 +175,7 @@ def estimate_induced(
     Each result equals the one estimate_functional or tail_experiment returns
     for it alone at the same seed and chunk size.
     """
-    _check_dims(m, n)
+    _check_pair(m, n)
     if samples < 2:
         raise DomainError("need at least two samples")
     which = tuple(which)
@@ -336,7 +329,7 @@ def lipschitz_check(
     """
     if m < 3:
         raise DomainError("the Lipschitz bound is stated for m >= 3")
-    _check_dims(m, n)
+    _check_pair(m, n)
     if which not in LIPSCHITZ_FUNCTIONALS:
         raise DomainError(f"which must be one of {LIPSCHITZ_FUNCTIONALS}")
     if pairs < 1:

@@ -24,7 +24,8 @@ from subent import (
     subentropy,
     von_neumann_entropy,
 )
-from subent.qcore import entropy_values, subentropy_values
+from subent.qcore import _subentropy_integral, entropy_values, subentropy_values
+from subent.sampling import draw_induced
 
 
 def spec(*values) -> Spectrum:
@@ -353,3 +354,39 @@ def test_entropy_values_handles_zeros():
 def test_euler_gamma_constant():
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
     assert SUBENTROPY_MAX == pytest.approx(0.4227843350984671, abs=1e-15)
+
+
+class TestSubentropyRoutes:
+    """The integral form against independent oracles, on the rows it takes over
+    from the table and away from them."""
+
+    @pytest.mark.parametrize("rows", [[[0.6, 0.6, 0.2]], [[math.nan, 0.5]]])
+    def test_rejects_unnormalised_and_non_finite_rows(self, rows):
+        # the integral form assumes a unit sum, so without the check an
+        # unnormalised row's value would depend on the route it takes
+        with pytest.raises(ValueError):
+            subentropy_values(np.array(rows))
+
+    @pytest.mark.parametrize("m", [96, 128])
+    def test_rows_no_precision_certifies(self, m):
+        # induced rows at m = n >= 96 defeat the table at every precision up
+        # to 1280 digits and reach the integral
+        rho = draw_induced(m, m, RngStream(47, m), 1)
+        row = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        got = subentropy_values(row)[0]
+        assert got == pytest.approx(float(oracles.subentropy_raw(row[0], 400)), abs=1e-12)
+
+    def test_integral_at_large_dimension(self):
+        row = np.clip(np.linalg.eigvalsh(draw_induced(256, 256, RngStream(48), 1)), 0.0, None)
+        got = _subentropy_integral(row)[0]
+        assert got == pytest.approx(float(oracles.subentropy_raw(row[0], 400)), abs=1e-12)
+
+    def test_integral_away_from_ties(self):
+        # the 200-digit pole sum, not the float table: rows the float probe
+        # certifies at 1e-11 can still be 1e-11 off, the integral is not
+        gen = RngStream(49).generator()
+        for m in range(2, 65):
+            row = gen.random(m)
+            row /= row.sum()
+            got = _subentropy_integral(row[None, :])[0]
+            assert got == pytest.approx(float(oracles.subentropy_raw(row, 200)), abs=1e-13)
