@@ -259,6 +259,8 @@ def _cmd_formula(args, settings) -> tuple[list[dict], bool, dict]:
         if None in ms or None in ns:
             raise UsageError("sweeps need both --m/--m-range and --n/--n-range")
         pairs = [(m, n) for m in ms for n in ns if m <= n]
+        if not pairs:
+            raise UsageError("the ranges hold no pair with m <= n")
     else:
         _check_pair(args, "formula (without ranges)", 1)
         pairs = [(args.m, args.n)]
@@ -373,6 +375,8 @@ def _cmd_concentration(args, settings) -> tuple[list[dict], bool, dict]:
 
 
 def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
+    if args.max_m < 1 or args.max_n < 1:
+        raise UsageError("--max-m and --max-n must be >= 1")
     rows: list[dict] = []
     violation = False
     for m in range(1, args.max_m + 1):

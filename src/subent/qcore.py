@@ -200,18 +200,61 @@ def _divided_difference_plain(z: np.ndarray):
     return -table[:, 0], probe_error
 
 
-def _scalar_table(nodes: list, log):
-    """(-[z_1,...,z_m] x^m ln x, [z_1,...,z_m] x^m) on distinct nodes, in the
-    arithmetic of the nodes and `log`: Python floats with `math.log`, or
-    mpmath numbers with `mp.log` at the working precision."""
+def _scalar_table(nodes: list):
+    """(-[z_1,...,z_m] x^m ln x, [z_1,...,z_m] x^m) on distinct float nodes."""
     m = len(nodes)
     probe = [v**m for v in nodes]
-    col = [p * log(v) if v > 0 else p for p, v in zip(probe, nodes)]
+    col = [p * math.log(v) if v > 0 else p for p, v in zip(probe, nodes)]
     for width in range(1, m):
         spans = [nodes[i + width] - nodes[i] for i in range(m - width)]
         col = [(col[i + 1] - col[i]) / span for i, span in enumerate(spans)]
         probe = [(probe[i + 1] - probe[i]) / span for i, span in enumerate(spans)]
     return -col[0], probe[0]
+
+
+def _round(man: int, exp: int, prec: int, sticky: int = 0) -> tuple[int, int]:
+    """man * 2**exp rounded to prec bits, to nearest with ties to even. A
+    nonzero `sticky` stands for a remainder below the last bit of man that
+    has the sign of man."""
+    mag = -man if man < 0 else man
+    shift = mag.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    kept = mag >> shift
+    half = 1 << (shift - 1)
+    if mag & half and (kept & 1 or sticky or mag & (half - 1)):
+        kept += 1
+    return (-kept if man < 0 else kept), exp + shift
+
+
+def _sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a - b on (mantissa, exponent) pairs, correctly rounded to prec bits."""
+    (am, ae), (bm, be) = a, b
+    if ae > be:
+        return _round((am << (ae - be)) - bm, be, prec)
+    return _round(am - (bm << (be - ae)), ae, prec)
+
+
+def _sub_div(a: tuple[int, int], b: tuple[int, int], span: tuple[int, int],
+             prec: int) -> tuple[int, int]:
+    """(a - b) / span rounded to prec bits after the subtraction and again
+    after the division, as `mpf_div(mpf_sub(a, b), span)` rounds."""
+    num, exp = _sub(a, b, prec)
+    if not num:
+        return 0, 0
+    den, den_exp = span
+    # at least prec + 1 quotient bits, so the remainder lies strictly below
+    # the rounding position and serves as the sticky bit
+    extra = prec + den.bit_length() - num.bit_length() + 1
+    quot, rem = divmod(abs(num) << extra, abs(den))
+    quot, exp = _round(quot, exp - den_exp - extra, prec, rem)
+    return (-quot if (num < 0) != (den < 0) else quot), exp
+
+
+def _pair(value: tuple) -> tuple[int, int]:
+    """A libmp number as a (signed mantissa, exponent) pair."""
+    sign, man, exp, _ = value
+    return (-man if sign else man), exp
 
 
 def _subentropy_escalated(row: np.ndarray) -> float:
@@ -223,22 +266,54 @@ def _subentropy_escalated(row: np.ndarray) -> float:
     rejects can pass here: on an AVX-512 host, 2,038 of the 2,048 rows of
     the benchmark's `subentropy-m32` draws at seeds 0-15 failed the
     vectorized probe, and this pass certified one of them.
+
+    The passes at 40, 80, ... 1280 digits run `_mantissa_table`; the probe's
+    node sum and bound and the final float come from mpmath's `libmp`.
     """
     import mpmath as mp
+    from mpmath import libmp
 
-    value, probe = _scalar_table(row.tolist(), math.log)
+    nodes = row.tolist()
+    value, probe = _scalar_table(nodes)
     if abs(probe - row.sum()) <= _PROBE_TOL:
         return max(0.0, value)
+    exact = [libmp.from_float(v) for v in nodes]
     dps = 40
     while dps <= 1280:
         # Called as mp.workdps on each pass: perfbench/inproc.py counts the calls.
         with mp.workdps(dps):
-            zs = [mp.mpf(v) for v in row.tolist()]
-            value, probe = _scalar_table(zs, mp.log)
-            if abs(probe - mp.fsum(zs)) < mp.mpf(10) ** (20 - dps):
-                return max(0.0, float(value))
+            prec = libmp.dps_to_prec(dps)
+            value, probe = _mantissa_table(exact, prec)
+            residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
+            bound = libmp.mpf_pow_int(libmp.from_int(10), 20 - dps, prec, "n")
+            if libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound):
+                return max(0.0, libmp.to_float(value, rnd="n"))
         dps *= 2
     return math.nan
+
+
+def _mantissa_table(nodes: list, prec: int):
+    """`_scalar_table` at prec bits on distinct libmp nodes, as libmp numbers.
+
+    The node terms x^m ln x and x^m come from libmp; the table runs on
+    (mantissa, exponent) pairs of Python ints through `_sub` and `_sub_div`.
+    libmp's `mpf_sub` and `mpf_div` round correctly to nearest, so the table
+    holds exactly the values a table of `mpf` numbers holds.
+    """
+    from mpmath import libmp
+
+    m = len(nodes)
+    probe = [libmp.mpf_pow_int(v, m, prec, "n") for v in nodes]
+    col = [libmp.mpf_mul(p, libmp.mpf_log(v, prec, "n"), prec, "n") if libmp.mpf_sign(v) > 0 else p
+           for p, v in zip(probe, nodes)]
+    col, probe = [_pair(t) for t in col], [_pair(p) for p in probe]
+    pairs = [_pair(v) for v in nodes]
+    for width in range(1, m):
+        spans = [_sub(hi, lo, prec) for hi, lo in zip(pairs[width:], pairs)]
+        col = [_sub_div(hi, lo, s, prec) for hi, lo, s in zip(col[1:], col, spans)]
+        probe = [_sub_div(hi, lo, s, prec) for hi, lo, s in zip(probe[1:], probe, spans)]
+    value = libmp.mpf_neg(libmp.from_man_exp(*col[0]), prec, "n")
+    return value, libmp.from_man_exp(*probe[0])
 
 
 def _subentropy_integral(z: np.ndarray) -> np.ndarray:

@@ -35,6 +35,38 @@ def subentropy_raw(values, dps: int = 60):
         return -total
 
 
+def scalar_table(nodes, log):
+    """(-[z_1,...,z_m] x^m ln x, [z_1,...,z_m] x^m) on distinct nodes, in the
+    arithmetic of the nodes and `log`: Python floats with `math.log`, or
+    mpmath numbers with `mp.log` at the working precision."""
+    m = len(nodes)
+    probe = [v**m for v in nodes]
+    col = [p * log(v) if v > 0 else p for p, v in zip(probe, nodes)]
+    for width in range(1, m):
+        spans = [nodes[i + width] - nodes[i] for i in range(m - width)]
+        col = [(col[i + 1] - col[i]) / span for i, span in enumerate(spans)]
+        probe = [(probe[i + 1] - probe[i]) / span for i, span in enumerate(spans)]
+    return -col[0], probe[0]
+
+
+def subentropy_escalated_mpf(row) -> float:
+    """The escalated subentropy of one row on `mp.mpf` numbers: the float
+    table, then the same table in 40, 80, ... 1280 digits until its x^m probe
+    matches the node sum to 10^(20 - dps), or nan if no precision does."""
+    value, probe = scalar_table(row.tolist(), math.log)
+    if abs(probe - row.sum()) <= 1e-11:
+        return max(0.0, value)
+    dps = 40
+    while dps <= 1280:
+        with mp.workdps(dps):
+            zs = [mp.mpf(v) for v in row.tolist()]
+            value, probe = scalar_table(zs, mp.log)
+            if abs(probe - mp.fsum(zs)) < mp.mpf(10) ** (20 - dps):
+                return max(0.0, float(value))
+        dps *= 2
+    return math.nan
+
+
 def _perturb_ties(values, delta):
     """Split exactly tied values by a symmetric, sum-preserving progression."""
     vals = sorted(float(v) for v in values)

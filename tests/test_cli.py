@@ -61,6 +61,12 @@ class TestFormula:
         code = main(["formula", "--m", "3", "--n", "2", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
+    def test_sweep_without_pairs_is_usage_error(self, tmp_path):
+        # no m in 5..6 is <= an n in 1..2; the sweep used to print only the
+        # manifest and exit 0
+        argv = ["formula", "--m-range", "5..6", "--n-range", "1..2", "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_USAGE
+
 
 class TestEstimate:
     def test_z_score_within_window(self, tmp_path):
@@ -191,10 +197,11 @@ class TestIdentities:
         assert len(rows) == 3 * 21  # three identities per (m, n) pair
         assert all(r["holds"] for r in rows)
 
-    def test_empty_range(self, tmp_path):
-        code, text = run_to_file(tmp_path, "i.json", ["identities", "--max-m", "0"])
-        assert code == EXIT_OK
-        assert records(text) == []
+    def test_non_positive_bounds_are_usage_errors(self, tmp_path):
+        # such a sweep checks no identity: it used to print only the manifest
+        # and exit 0, or with --quadrature check the quadrature alone
+        for argv in (["--max-m", "0"], ["--max-n", "0"], ["--max-m", "-3", "--quadrature"]):
+            assert main(["identities", *argv, "--out", str(tmp_path / "i.json")]) == EXIT_USAGE
 
     def test_quadrature_rows(self, tmp_path):
         code, text = run_to_file(

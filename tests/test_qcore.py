@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import mpmath as mp
 import oracles
+from mpmath import libmp
 from subent import (
     EULER_GAMMA,
     SUBENTROPY_MAX,
@@ -24,7 +26,15 @@ from subent import (
     subentropy,
     von_neumann_entropy,
 )
-from subent.qcore import _subentropy_integral, entropy_values, subentropy_values
+from subent.qcore import (
+    _mantissa_table,
+    _sub,
+    _sub_div,
+    _subentropy_escalated,
+    _subentropy_integral,
+    entropy_values,
+    subentropy_values,
+)
 from subent.sampling import draw_induced
 
 
@@ -390,3 +400,112 @@ class TestSubentropyRoutes:
             row /= row.sum()
             got = _subentropy_integral(row[None, :])[0]
             assert got == pytest.approx(float(oracles.subentropy_raw(row, 200)), abs=1e-13)
+
+
+_PRECS = [libmp.dps_to_prec(40), libmp.dps_to_prec(1280)]  # 136 and 4255 bits
+_MANTISSAS = st.integers(-(2**300), 2**300)
+_EXPONENTS = st.integers(-700, 700)
+
+
+def _mpf(pair):
+    return libmp.from_man_exp(*pair)
+
+
+@st.composite
+def _random_operands(draw):
+    """(a, b, span): signed mantissas up to 300 bits, exponent gaps of 0 to
+    1200 bits between a and b, and a nonzero span."""
+    exp = draw(_EXPONENTS)
+    a = (draw(_MANTISSAS), exp)
+    b = (draw(_MANTISSAS), exp + draw(st.integers(-1200, 1200)))
+    return a, b, (draw(_MANTISSAS.filter(bool)), draw(_EXPONENTS))
+
+
+@st.composite
+def _constructed_operands(draw, prec):
+    """(kind, a, b, span) where a - b is exactly a half-way tie at prec bits
+    that ties-to-even rounds down or up, a value that rounds up to 2**prec,
+    or zero."""
+    kind = draw(st.sampled_from(["tie_down", "tie_up", "carry", "zero"]))
+    if kind == "carry":
+        extra = draw(st.integers(1, 64))
+        diff = (1 << (prec + extra)) - draw(st.integers(1, 1 << (extra - 1)))
+    elif kind == "zero":
+        diff = 0
+    else:
+        kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        diff = 2 * (kept | 1 if kind == "tie_up" else kept & ~1) + 1
+    diff *= draw(st.sampled_from([1, -1]))
+    bm, be = draw(_MANTISSAS), draw(_EXPONENTS)
+    shift = draw(st.integers(0, 1200))
+    a = ((diff << shift) + bm, be)
+    return kind, a, (bm, be), (draw(_MANTISSAS.filter(bool)), draw(_EXPONENTS))
+
+
+class TestMantissaArithmetic:
+    """`_sub` and `_sub_div` equal libmp's `mpf_sub` and `mpf_div(mpf_sub(a,
+    b), span)` as normalized libmp tuples."""
+
+    @staticmethod
+    def _check(prec, a, b, span):
+        difference = libmp.mpf_sub(_mpf(a), _mpf(b), prec, "n")
+        assert _mpf(_sub(a, b, prec)) == difference
+        assert _mpf(_sub_div(a, b, span, prec)) == libmp.mpf_div(difference, _mpf(span), prec, "n")
+
+    @pytest.mark.parametrize("prec", _PRECS)
+    @given(operands=_random_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_random_operands(self, prec, operands):
+        self._check(prec, *operands)
+
+    @pytest.mark.parametrize("prec", _PRECS)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_carries_and_zeros(self, prec, data):
+        kind, a, b, span = data.draw(_constructed_operands(prec))
+        self._check(prec, a, b, span)
+        # the construction reaches the case it names
+        rounded = libmp.mpf_abs(_mpf(_sub(a, b, prec)))
+        exact = libmp.mpf_abs(libmp.mpf_sub(_mpf(a), _mpf(b)))
+        assert libmp.mpf_gt(rounded, exact) == (kind in ("tie_up", "carry"))
+        assert (rounded == libmp.fzero) == (kind == "zero")
+        if kind == "carry":
+            assert rounded[1] == 1  # a power of two
+
+
+class TestEscalatedAgainstMpfTable:
+    """`_subentropy_escalated` against the table it replaced, run on `mp.mpf`
+    numbers (`oracles.subentropy_escalated_mpf`), by float bits."""
+
+    @staticmethod
+    def _induced_rows(m, count):
+        rows = np.clip(np.linalg.eigvalsh(draw_induced(m, m, RngStream(51, m), count)), 0.0, None)
+        return -np.sort(-rows, axis=1)
+
+    @pytest.mark.parametrize("m", [8, 16, 32, 48, 64])
+    def test_induced_rows(self, m):
+        # the float pass certifies these rows at m = 8 and 16; from m = 32 on
+        # they take the 40-digit pass
+        for row in self._induced_rows(m, 2):
+            assert _subentropy_escalated(row).hex() == oracles.subentropy_escalated_mpf(row).hex()
+
+    @pytest.mark.parametrize("m, size, gap", [(8, 6, 2e-8), (16, 8, 3e-8)])
+    def test_clustered_rows_climb(self, m, size, gap):
+        # a cluster of `size` nodes `gap` apart sends the row up to 160 (m = 8)
+        # and 320 (m = 16) digits
+        row = np.concatenate([np.linspace(0.5, 0.05, m - size), 0.173 + gap * np.arange(size)])
+        row = -np.sort(-row / row.sum())
+        assert _subentropy_escalated(row).hex() == oracles.subentropy_escalated_mpf(row).hex()
+
+    def test_row_no_precision_certifies(self):
+        row = self._induced_rows(96, 1)[0]
+        assert math.isnan(_subentropy_escalated(row))
+        assert math.isnan(oracles.subentropy_escalated_mpf(row))
+
+    def test_table_equal_at_every_precision(self):
+        row = self._induced_rows(32, 1)[0].tolist()
+        for dps in (40, 80, 160, 320, 640, 1280):
+            with mp.workdps(dps):
+                value, probe = oracles.scalar_table([mp.mpf(v) for v in row], mp.log)
+            got = _mantissa_table([libmp.from_float(v) for v in row], libmp.dps_to_prec(dps))
+            assert got == (value._mpf_, probe._mpf_)
