@@ -377,6 +377,9 @@ def _cmd_concentration(args, settings) -> tuple[list[dict], bool, dict]:
 def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
     if args.max_m < 1 or args.max_n < 1:
         raise UsageError("--max-m and --max-n must be >= 1")
+    if args.max_m > args.max_n:
+        # every pair has m <= n, so m above --max-n would be dropped unchecked
+        raise UsageError("--max-m must not exceed --max-n")
     rows: list[dict] = []
     violation = False
     for m in range(1, args.max_m + 1):

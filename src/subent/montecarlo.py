@@ -3,8 +3,10 @@
 Samples are drawn in fixed-size chunks, chunk i from RngStream(seed, i),
 and the per-chunk summaries are merged in chunk order. Results therefore
 depend only on (seed, chunk size, sample count) and never on how many
-workers executed the chunks. A failed sample aborts the whole run; nothing
-is resampled, since that would bias the measure.
+workers executed the chunks. Within a chunk the states arrive in the
+cache-sized blocks of `sampling`; only per-sample rows (spectra, diagonals,
+functional values) are kept for the whole chunk. A failed sample aborts the
+whole run; nothing is resampled, since that would bias the measure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .closedform import _check_pair, levy_coherence_bound
 from .errors import DomainError
 from .qcore import Spectrum, entropy_values, subentropy_values
 # complex_normals is not called here; perfbench/inproc.py reads it from this module.
-from .sampling import RngStream, complex_normals, draw_haar, draw_induced, draw_pure  # noqa: F401
+from .sampling import RngStream, complex_normals, haar_blocks, induced_blocks, pure_blocks  # noqa: F401
 
 DEFAULT_CHUNK = 1024
 FUNCTIONALS = ("entropy", "subentropy", "coherence")
@@ -149,9 +151,14 @@ def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
     """Summaries of the functionals in `which` and, per epsilon, the number of
     coherence samples farther than it from the center, all from one draw."""
     m, n, which, epsilons, seed, index, size = task
-    rho = draw_induced(m, n, RngStream(seed, index), size)
-    lams = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    diag = np.clip(np.einsum("sii->si", rho).real, 0.0, None)
+    lams, diag = np.empty((size, m)), np.empty((size, m))
+    stop = 0
+    for rho in induced_blocks(m, n, RngStream(seed, index), size):
+        start, stop = stop, stop + len(rho)
+        lams[start:stop] = np.linalg.eigvalsh(rho)
+        diag[start:stop] = np.einsum("sii->si", rho).real
+    np.clip(lams, 0.0, None, out=lams)
+    np.clip(diag, 0.0, None, out=diag)
     needed = set(which) | ({"coherence"} if epsilons else set())
     values = {w: _functional_samples(w, lams, diag) for w in needed}
     deviation = np.abs(values["coherence"] - (m - 1) / (2 * n)) if epsilons else None
@@ -214,7 +221,8 @@ def estimate_functional(
 def _isospectral_chunk(task) -> MonteCarloEstimate:
     values, seed, index, size = task
     lam = np.asarray(values, dtype=float)
-    diag = np.abs(draw_haar(lam.size, RngStream(seed, index), size)) ** 2 @ lam
+    blocks = haar_blocks(lam.size, RngStream(seed, index), size)
+    diag = np.concatenate([np.abs(u) ** 2 @ lam for u in blocks])
     base = float(entropy_values(lam[None, :])[0])
     return MonteCarloEstimate.from_samples(np.maximum(entropy_values(diag) - base, 0.0))
 
@@ -306,8 +314,12 @@ def _lipschitz_ratios(psi, phi, m, n, which):
 
 def _lipschitz_chunk(task):
     m, n, which, seed, index, size = task
-    pairs = draw_pure(m * n, RngStream(seed, index), 2 * size).reshape(size, 2, m * n)
-    ratios, skipped = _lipschitz_ratios(pairs[:, 0, :], pairs[:, 1, :], m, n, which)
+    parts, skipped = [], 0
+    for pairs in pure_blocks((2, m * n), RngStream(seed, index), size):
+        ratios, dropped = _lipschitz_ratios(pairs[:, 0, :], pairs[:, 1, :], m, n, which)
+        parts.append(ratios)
+        skipped += dropped
+    ratios = np.concatenate(parts)
     peak = float(ratios.max()) if ratios.size else 0.0
     return peak, int(ratios.size), skipped
 

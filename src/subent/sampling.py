@@ -5,12 +5,19 @@ Every draw reduces to one counter-based uniform stream keyed by
 transform from consecutive uniform pairs. A given RngStream value
 therefore always yields the same sample, and distinct stream ids give
 statistically independent streams without any jump-ahead bookkeeping.
-The batched draws return `size` samples from one stream as one array; the
-single-state functions wrap the first sample of a size-1 draw in its type.
+The block iterators yield `size` samples from one stream in successive
+batches of at most `_BLOCK_VALUES` complex Gaussians (and at least one
+sample), so memory is bounded by the block, not by the sample count. The
+stream is read in order and every later step works per matrix or per row,
+so the blocks equal one draw of the whole stream bit for bit. The batched
+`draw_*` functions concatenate the blocks; the single-state functions wrap
+the first sample of a size-1 draw in its type.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,8 @@ from .errors import DimensionOrder, SingularSample
 from .qcore import DensityMatrix, PureState, Spectrum
 
 _UNITARY_TOL = 1e-10
+# complex Gaussians per block, 256 KiB per complex array
+_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,43 @@ def ginibre(rows: int, cols: int, rng: RngStream) -> np.ndarray:
     return complex_normals(gen, rows * cols).reshape(rows, cols)
 
 
-def draw_haar(dim: int, rng: RngStream, size: int) -> np.ndarray:
-    """`size` Haar unitaries from one stream, as a (size, dim, dim) array.
+def _normal_blocks(rng: RngStream, size: int, shape: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Successive (k, *shape) batches of complex Gaussians from the one stream
+    of `rng`, `size` samples in all, with k the most samples that fit in
+    `_BLOCK_VALUES` values but at least one. The stream is consumed in order,
+    so the batches concatenate to the one-shot draw."""
+    if size < 1:
+        raise ValueError("need at least one sample")
+    per_sample = math.prod(shape)
+    step = max(1, _BLOCK_VALUES // per_sample)
+    gen = rng.generator()
+    counts = (min(step, size - start) for start in range(0, size, step))
+    return (complex_normals(gen, k * per_sample).reshape(k, *shape) for k in counts)
+
+
+def _haar_q(g: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    if np.any(d == 0):
+        raise SingularSample("QR met an exactly singular Ginibre draw")
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1)[..., None]
+
+
+def _normalized_gram(g: np.ndarray) -> np.ndarray:
+    rho = g @ np.conjugate(np.swapaxes(g, 1, 2))
+    trace = np.einsum("sii->s", rho).real[:, None, None]
+    # componentwise: complex/scalar division would round twice
+    rho.real /= trace
+    rho.imag /= trace
+    return rho
+
+
+def haar_blocks(dim: int, rng: RngStream, size: int) -> Iterator[np.ndarray]:
+    """`size` Haar unitaries from one stream, in (k, dim, dim) blocks.
 
     Each is the Q factor of a Ginibre matrix with every column multiplied by
     the phase of the matching diagonal entry of R, which removes the sign
@@ -94,25 +138,21 @@ def draw_haar(dim: int, rng: RngStream, size: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    g = complex_normals(rng.generator(), size * dim * dim).reshape(size, dim, dim)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    if np.any(d == 0):
-        raise SingularSample("QR met an exactly singular Ginibre draw")
-    return q * (d / np.abs(d))[:, None, :]
+    return map(_haar_q, _normal_blocks(rng, size, (dim, dim)))
 
 
-def draw_pure(dim: int, rng: RngStream, size: int) -> np.ndarray:
-    """`size` uniform unit vectors from one stream, as a (size, dim) array."""
-    if dim < 1:
+def pure_blocks(shape: tuple[int, ...], rng: RngStream, size: int) -> Iterator[np.ndarray]:
+    """`size` samples of `shape` from one stream, in (k, *shape) blocks, each
+    row along the last axis a uniform unit vector. A shape of (2, dim) keeps
+    pairs of states in one block."""
+    if min(shape) < 1:
         raise ValueError("dimension must be positive")
-    v = complex_normals(rng.generator(), size * dim).reshape(size, dim)
-    return v / np.linalg.norm(v, axis=1)[:, None]
+    return map(_unit_rows, _normal_blocks(rng, size, shape))
 
 
-def draw_induced(m: int, n: int, rng: RngStream, size: int) -> np.ndarray:
-    """`size` random states G G^H / tr(G G^H) from one stream, as a (size, m, m)
-    array, each from an m x n Ginibre draw G.
+def induced_blocks(m: int, n: int, rng: RngStream, size: int) -> Iterator[np.ndarray]:
+    """`size` random states G G^H / tr(G G^H) from one stream, in (k, m, m)
+    blocks, each from an m x n Ginibre draw G.
 
     This matrix model realizes exactly the distribution of the m-dimensional
     marginal of a Haar-uniform pure state on an (m n)-dimensional space.
@@ -121,13 +161,23 @@ def draw_induced(m: int, n: int, rng: RngStream, size: int) -> np.ndarray:
         raise ValueError("system dimension must be positive")
     if m > n:
         raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
-    g = complex_normals(rng.generator(), size * m * n).reshape(size, m, n)
-    rho = g @ np.conjugate(np.swapaxes(g, 1, 2))
-    trace = np.einsum("sii->s", rho).real[:, None, None]
-    # componentwise: complex/scalar division would round twice
-    rho.real /= trace
-    rho.imag /= trace
-    return rho
+    return map(_normalized_gram, _normal_blocks(rng, size, (m, n)))
+
+
+def draw_haar(dim: int, rng: RngStream, size: int) -> np.ndarray:
+    """The blocks of `haar_blocks` as one (size, dim, dim) array."""
+    return np.concatenate(list(haar_blocks(dim, rng, size)))
+
+
+def draw_pure(dim: int, rng: RngStream, size: int) -> np.ndarray:
+    """The blocks of `pure_blocks` of shape (dim,) as one (size, dim) array of
+    uniform unit vectors."""
+    return np.concatenate(list(pure_blocks((dim,), rng, size)))
+
+
+def draw_induced(m: int, n: int, rng: RngStream, size: int) -> np.ndarray:
+    """The blocks of `induced_blocks` as one (size, m, m) array."""
+    return np.concatenate(list(induced_blocks(m, n, rng, size)))
 
 
 def haar_unitary(dim: int, rng: RngStream) -> UnitaryMatrix:

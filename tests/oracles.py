@@ -5,7 +5,10 @@ oracle works from the raw pole-sum formula in extended precision, and the
 degenerate case is reached by symmetric eigenvalue perturbations followed by
 Richardson extrapolation instead of any confluent table. The exact-rational
 oracles build and reduce one `Fraction` per term, apart from the package's
-integer kernels that sum over one common denominator.
+integer kernels that sum over one common denominator. The one-shot draws
+turn a whole stream into states with one `complex_normals` call, the way the
+sampler worked before it drew in blocks, so blocked draws can be compared
+with them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
+
+from subent.montecarlo import MonteCarloEstimate
+from subent.qcore import entropy_values, subentropy_values
+from subent.sampling import complex_normals
 
 
 def subentropy_raw(values, dps: int = 60):
@@ -161,3 +168,45 @@ def identity_sides(m: int, n: int) -> dict[str, tuple[Fraction, Fraction]]:
         ),
         "riordan_product": (Fraction(math.comb(z, m) * math.comb(z, n)), riordan_rhs),
     }
+
+
+def induced_one_shot(m: int, n: int, rng, size: int) -> np.ndarray:
+    """`size` states G G^H / tr(G G^H) from one draw of the whole stream."""
+    g = complex_normals(rng.generator(), size * m * n).reshape(size, m, n)
+    rho = g @ np.conjugate(np.swapaxes(g, 1, 2))
+    trace = np.einsum("sii->s", rho).real[:, None, None]
+    rho.real /= trace
+    rho.imag /= trace
+    return rho
+
+
+def haar_one_shot(dim: int, rng, size: int) -> np.ndarray:
+    """`size` phase-fixed QR unitaries from one draw of the whole stream."""
+    g = complex_normals(rng.generator(), size * dim * dim).reshape(size, dim, dim)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def pure_one_shot(dim: int, rng, size: int) -> np.ndarray:
+    """`size` normalized Gaussian rows from one draw of the whole stream."""
+    v = complex_normals(rng.generator(), size * dim).reshape(size, dim)
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def induced_chunk_one_shot(m, n, which, epsilons, rng, size):
+    """What one induced-measure chunk reports when its states come from one
+    draw: the summaries of the functionals in `which` and the coherence tail
+    counts at `epsilons`."""
+    rho = induced_one_shot(m, n, rng, size)
+    lams = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    diag = np.clip(np.einsum("sii->si", rho).real, 0.0, None)
+    values = {
+        "entropy": entropy_values(lams),
+        "coherence": np.maximum(entropy_values(diag) - entropy_values(lams), 0.0),
+    }
+    if "subentropy" in which:
+        values["subentropy"] = subentropy_values(lams)
+    deviation = np.abs(values["coherence"] - (m - 1) / (2 * n))
+    summaries = {w: MonteCarloEstimate.from_samples(values[w]) for w in which}
+    return summaries, [int((deviation > eps).sum()) for eps in epsilons]

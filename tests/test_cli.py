@@ -203,6 +203,12 @@ class TestIdentities:
         for argv in (["--max-m", "0"], ["--max-n", "0"], ["--max-m", "-3", "--quadrature"]):
             assert main(["identities", *argv, "--out", str(tmp_path / "i.json")]) == EXIT_USAGE
 
+    def test_max_m_above_max_n_is_usage_error(self, tmp_path):
+        # pairs need m <= n: this sweep used to check m <= 3 only and exit 0
+        # with a manifest saying max_m 20
+        out = tmp_path / "i.json"
+        assert main(["identities", "--max-m", "20", "--max-n", "3", "--out", str(out)]) == EXIT_USAGE
+
     def test_quadrature_rows(self, tmp_path):
         code, text = run_to_file(
             tmp_path, "i.json",

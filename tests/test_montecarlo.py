@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from subent import (
     DimensionOrder,
     DomainError,
@@ -22,8 +24,16 @@ from subent import (
     tail_experiment,
 )
 from subent import montecarlo
-from subent.montecarlo import TailReport, _lipschitz_ratios
-from subent.sampling import complex_normals
+from subent.montecarlo import (
+    FUNCTIONALS,
+    TailReport,
+    _induced_chunk,
+    _isospectral_chunk,
+    _lipschitz_chunk,
+    _lipschitz_ratios,
+)
+from subent.qcore import entropy_values
+from subent.sampling import complex_normals, haar_blocks, induced_blocks, pure_blocks
 
 
 class TestMonteCarloEstimate:
@@ -138,6 +148,59 @@ class TestIsospectral:
         a = estimate_isospectral_coherence(spec, 2000, seed=4, workers=1)
         b = estimate_isospectral_coherence(spec, 2000, seed=4, workers=2)
         assert (a.mean, a.variance) == (b.mean, b.variance)
+
+
+class TestChunkBlocks:
+    """The chunk kernels walk the sample blocks and report what one draw of
+    the whole chunk reports, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "m, n, which, size, blocks",
+        [
+            (16, 16, FUNCTIONALS, 150, 3),  # 64 states per block, the last one partial
+            (130, 130, ("entropy", "coherence"), 3, 3),  # m n > _BLOCK_VALUES: one per block
+            (3, 5, FUNCTIONALS, 1, 1),
+        ],
+    )
+    def test_induced_chunk_matches_one_shot(self, m, n, which, size, blocks):
+        epsilons = (0.01, 0.05)
+        rng = RngStream(71, 2)
+        assert len(list(induced_blocks(m, n, rng, size))) == blocks
+        got = _induced_chunk((m, n, which, epsilons, rng.seed, rng.stream_id, size))
+        assert got == oracles.induced_chunk_one_shot(m, n, which, epsilons, rng, size)
+
+    @pytest.mark.parametrize("dim, size, blocks", [(16, 150, 3), (130, 2, 2)])
+    def test_isospectral_chunk_matches_one_shot(self, dim, size, blocks):
+        lam = np.arange(1.0, dim + 1) / (dim * (dim + 1) / 2)
+        rng = RngStream(72, 1)
+        assert len(list(haar_blocks(dim, rng, size))) == blocks
+        diag = np.abs(oracles.haar_one_shot(dim, rng, size)) ** 2 @ lam
+        coherence = np.maximum(entropy_values(diag) - entropy_values(lam[None, :])[0], 0.0)
+        got = _isospectral_chunk((tuple(lam), rng.seed, rng.stream_id, size))
+        assert got == MonteCarloEstimate.from_samples(coherence)
+
+    @pytest.mark.parametrize("m, n, size, blocks", [(4, 16, 300, 3), (4, 2100, 3, 3)])
+    @pytest.mark.parametrize("which", ["coherence", "entropy"])
+    def test_lipschitz_chunk_matches_one_shot(self, m, n, size, blocks, which):
+        rng = RngStream(73, 4)
+        assert len(list(pure_blocks((2, m * n), rng, size))) == blocks
+        pairs = oracles.pure_one_shot(m * n, rng, 2 * size).reshape(size, 2, m * n)
+        ratios, skipped = _lipschitz_ratios(pairs[:, 0, :], pairs[:, 1, :], m, n, which)
+        got = _lipschitz_chunk((m, n, which, rng.seed, rng.stream_id, size))
+        assert got == (float(ratios.max()), ratios.size, skipped)
+
+    def test_chunk_memory_bounded_by_block(self):
+        # one draw of the whole chunk held about 112 MiB at these sizes:
+        # Gaussians, G, its conjugate transpose and the states, each
+        # 512 x 64 x 64 complex values
+        _induced_chunk((4, 4, ("entropy",), (), 0, 0, 8))  # first-call set-up
+        tracemalloc.start()
+        try:
+            _induced_chunk((64, 64, ("entropy",), (), 0, 0, 512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTailExperiment:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
+import oracles
 from subent import (
     DimensionOrder,
     RngStream,
@@ -19,7 +20,16 @@ from subent import (
     isospectral_state,
     spectrum_of,
 )
-from subent.sampling import complex_normals, draw_haar, draw_induced, draw_pure
+from subent.sampling import (
+    _BLOCK_VALUES,
+    complex_normals,
+    draw_haar,
+    draw_induced,
+    draw_pure,
+    haar_blocks,
+    induced_blocks,
+    pure_blocks,
+)
 
 
 class TestRngStream:
@@ -177,6 +187,50 @@ class TestBatchedDraws:
         assert_array_equal(draw_induced(m, m + 1, rng, 5)[0], single)
         assert_array_equal(draw_haar(m, rng, 5)[0], haar_unitary(m, rng).entries)
         assert_array_equal(draw_pure(m, rng, 5)[0], haar_pure_state(m, rng).amplitudes)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestBlocks:
+    """Blocked draws hold at most _BLOCK_VALUES Gaussians (one sample at
+    least) and concatenate bit for bit to one draw of the whole stream."""
+
+    @pytest.mark.parametrize("m, n, size, blocks", [(16, 16, 150, 3), (130, 130, 3, 3), (2, 3, 5, 1)])
+    def test_induced_blocks_bounded_and_exact(self, m, n, size, blocks):
+        rng = RngStream(61, m)
+        parts = list(induced_blocks(m, n, rng, size))
+        step = max(1, _BLOCK_VALUES // (m * n))
+        assert [len(p) for p in parts][:-1] == [step] * (blocks - 1)
+        assert len(parts) == blocks and sum(len(p) for p in parts) == size
+        assert_bits_equal(np.concatenate(parts), oracles.induced_one_shot(m, n, rng, size))
+        assert_bits_equal(draw_induced(m, n, rng, size), oracles.induced_one_shot(m, n, rng, size))
+
+    @pytest.mark.parametrize("dim, size, blocks", [(16, 150, 3), (130, 2, 2), (1, 3, 1)])
+    def test_haar_blocks_exact(self, dim, size, blocks):
+        rng = RngStream(62, dim)
+        assert len(list(haar_blocks(dim, rng, size))) == blocks
+        assert_bits_equal(draw_haar(dim, rng, size), oracles.haar_one_shot(dim, rng, size))
+
+    @pytest.mark.parametrize("dim, size, blocks", [(64, 300, 3), (8400, 3, 3), (5, 1, 1)])
+    def test_pure_pair_blocks_exact(self, dim, size, blocks):
+        rng = RngStream(63, dim)
+        parts = list(pure_blocks((2, dim), rng, size))
+        assert len(parts) == blocks and parts[0].shape[1:] == (2, dim)
+        whole = oracles.pure_one_shot(dim, rng, 2 * size).reshape(size, 2, dim)
+        assert_bits_equal(np.concatenate(parts), whole)
+        assert_bits_equal(draw_pure(dim, rng, 2 * size), oracles.pure_one_shot(dim, rng, 2 * size))
+
+    def test_rejects_empty_draws(self):
+        with pytest.raises(ValueError):
+            induced_blocks(2, 2, RngStream(0), 0)
+        with pytest.raises(ValueError):
+            haar_blocks(2, RngStream(0), -1)
+        with pytest.raises(ValueError):
+            pure_blocks((2, 3), RngStream(0), 0)
 
 
 class TestIsospectralState:
