@@ -528,6 +528,13 @@ def _timestamp() -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # Exact fractions grow with lcm(1..mn): from about m = n = 100 their
+    # integers pass the 4300 digits CPython converts to str by default. The
+    # limit is lifted for this call only, as tests and benchmarks call main
+    # in-process.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -567,6 +574,9 @@ def main(argv=None) -> int:
     except (SubentError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def run() -> None:

@@ -10,12 +10,14 @@ trace delta, independently of the Gamma-product closed forms they certify.
 from __future__ import annotations
 
 import math
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .closedform import _check_pair, gamma_ratio_terms, harmonic, harmonic_weighted_sum
 from .errors import DomainError, QuadratureFailure
+from .quadpack import quad
 
 #: Relative accuracy the quadrature oracles must certify, per dimension.
 QUADRATURE_TARGETS = {2: 1e-6, 3: 1e-4}
@@ -91,17 +93,34 @@ def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:
     return math.exp(log)
 
 
-def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
+def _triangle_quad(f: Callable[[float, float], float], epsabs: float,
+                   epsrel: float) -> tuple[float, float]:
+    """Integral of f(x, y) over x + y <= 1 in the positive quadrant.
+
+    Nests `quad` over y in [0, 1 - x] inside `quad` over x, both at epsabs,
+    epsrel and limit 50, as `scipy.integrate.dblquad` does; the error is the
+    largest estimate of any call, as dblquad reports it.
+    """
+    worst = 0.0
+
+    def inner(x: float) -> float:
+        nonlocal worst
+        value, err = quad(partial(f, x), 0.0, 1.0 - x, epsabs, epsrel)
+        worst = max(worst, err)
+        return value
+
+    value, err = quad(inner, 0.0, 1.0, epsabs, epsrel)
+    return value, max(worst, err)
+
+
+def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
     """Adaptive quadrature of the delta-reduced simplex integral for m in {2, 3}.
 
     The trace delta is removed by substituting the last coordinate, leaving
-    an ordinary integral over the (m-1)-simplex. A rough pass fixes the
-    scale, then a second pass integrates to the certified tolerance.
+    an ordinary integral over the (m-1)-simplex. At m = 3 a rough pass fixes
+    the scale, then a second pass integrates to the certified tolerance.
+    Returns (value, error estimate).
     """
-    from scipy import integrate  # deferred: the only scipy use, and its slowest import
-
-    target = QUADRATURE_TARGETS[m]
-
     if m == 2:
 
         def integrand(x: float) -> float:
@@ -113,12 +132,9 @@ def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
                 value *= y
             return value
 
-        value, err = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
-        if err > target * abs(value):
-            raise QuadratureFailure(f"1-D error estimate {err:.3g} above target")
-        return value
+        return quad(integrand, 0.0, 1.0, 0.0, 1e-10, limit=200)
 
-    def integrand(y: float, x: float) -> float:
+    def integrand(x: float, y: float) -> float:
         z = 1.0 - x - y
         if z <= 0.0:
             return 0.0
@@ -132,23 +148,17 @@ def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
             value *= z
         return value
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rough, _ = integrate.dblquad(
-            integrand, 0.0, 1.0, 0.0, lambda x: 1.0 - x, epsabs=1e-13, epsrel=1e-3
-        )
-        scale = max(abs(rough), 1e-300)
-        value, err = integrate.dblquad(
-            integrand,
-            0.0,
-            1.0,
-            0.0,
-            lambda x: 1.0 - x,
-            epsabs=scale * target * 1e-3,
-            epsrel=target * 1e-2,
-        )
-    if err > target * abs(value):
-        raise QuadratureFailure(f"2-D error estimate {err:.3g} above target")
+    target = QUADRATURE_TARGETS[m]
+    rough, _ = _triangle_quad(integrand, 1e-13, 1e-3)
+    scale = max(abs(rough), 1e-300)
+    return _triangle_quad(integrand, scale * target * 1e-3, target * 1e-2)
+
+
+def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
+    """The simplex integral, certified to QUADRATURE_TARGETS[m] relative accuracy."""
+    value, err = _simplex_integral(m, alpha, moment)
+    if err > QUADRATURE_TARGETS[m] * abs(value):
+        raise QuadratureFailure(f"{m - 1}-D error estimate {err:.3g} above target")
     return value
 
 

@@ -8,18 +8,22 @@ oracles build and reduce one `Fraction` per term, apart from the package's
 integer kernels that sum over one common denominator. The one-shot draws
 turn a whole stream into states with one `complex_normals` call, the way the
 sampler worked before it drew in blocks, so blocked draws can be compared
-with them bit for bit.
+with them bit for bit. The simplex integrals run through `scipy.integrate`,
+whose QUADPACK routines `subent.quadpack` ports.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate
 
+from subent.identities import QUADRATURE_TARGETS
 from subent.montecarlo import MonteCarloEstimate
 from subent.qcore import entropy_values, subentropy_values
 from subent.sampling import complex_normals
@@ -210,3 +214,52 @@ def induced_chunk_one_shot(m, n, which, epsilons, rng, size):
     deviation = np.abs(values["coherence"] - (m - 1) / (2 * n))
     summaries = {w: MonteCarloEstimate.from_samples(values[w]) for w in which}
     return summaries, [int((deviation > eps).sum()) for eps in epsilons]
+
+
+def simplex_integral_scipy(m: int, alpha: float, moment: int) -> tuple[float, float]:
+    """(value, error estimate) of `identities._simplex_integral` through
+    `scipy.integrate`, the way the oracle computed it before QAGS was ported."""
+    if m == 2:
+
+        def integrand(x: float) -> float:
+            y = 1.0 - x
+            value = (x - y) ** 2 * (x * y) ** (alpha - 1.0)
+            if moment >= 1:
+                value *= x
+            if moment >= 2:
+                value *= y
+            return value
+
+        return integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
+
+    target = QUADRATURE_TARGETS[m]
+
+    def integrand(y: float, x: float) -> float:
+        z = 1.0 - x - y
+        if z <= 0.0:
+            return 0.0
+        delta2 = ((x - y) * (x - z) * (y - z)) ** 2
+        value = delta2 * (x * y * z) ** (alpha - 1.0)
+        if moment >= 1:
+            value *= x
+        if moment >= 2:
+            value *= y
+        if moment >= 3:
+            value *= z
+        return value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rough, _ = integrate.dblquad(
+            integrand, 0.0, 1.0, 0.0, lambda x: 1.0 - x, epsabs=1e-13, epsrel=1e-3
+        )
+        scale = max(abs(rough), 1e-300)
+        return integrate.dblquad(
+            integrand,
+            0.0,
+            1.0,
+            0.0,
+            lambda x: 1.0 - x,
+            epsabs=scale * target * 1e-3,
+            epsrel=target * 1e-2,
+        )

@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from subent import estimate_functional
+from subent import closedform, estimate_functional
 from subent.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunManifest, _emit, _z_score, main
 
 
@@ -66,6 +67,21 @@ class TestFormula:
         # manifest and exit 0
         argv = ["formula", "--m-range", "5..6", "--n-range", "1..2", "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
+
+    def test_exact_fractions_of_any_size(self, tmp_path, monkeypatch):
+        # the integers of H_40000 run past CPython's default 4300-digit
+        # int-to-str limit; the command used to die there, writing nothing
+        monkeypatch.setattr(closedform, "_harmonics", closedform._harmonics[:])  # drop the cache growth
+        limit = sys.get_int_max_str_digits()
+        code, text = run_to_file(tmp_path, "f.json", ["formula", "--m", "200", "--n", "200"])
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit  # main restores the limit
+        (row,) = records(text)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(row["avg_subentropy"]) == closedform.average_subentropy_exact(200, 200)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestEstimate:
@@ -402,6 +418,21 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_quadrature_sweep_does_not_load_scipy(tmp_path):
+    out = tmp_path / "q.json"
+    argv = ["identities", "--max-m", "2", "--max-n", "2", "--quadrature", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom subent.cli import main\n"
+         f"code = main({argv!r})\n"
+         "print(code, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert sum('"record":"quadrature"' in line for line in out.read_text(encoding="utf-8").splitlines()) == 28
 
 
 def test_violation_exit_code_is_distinct():
