@@ -4,7 +4,7 @@ Output is a record stream (JSON lines or CSV) whose first record is the run
 manifest; all numeric payload below the manifest is reproduced byte for byte
 by any rerun with an equal manifest, independent of the worker count.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 bound or
-identity violation.
+identity violation (some record has `ok` or `holds` false).
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import __version__, closedform, identities, montecarlo
 from .entangle import average_embedded_entanglement
@@ -42,31 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header embedded at the top of every result stream."""
-
-    command: str
-    parameters: dict
-    seed: int
-    chunk: int
-    started: str
-    finished: str
-    tool_version: str
-
-    def as_record(self) -> dict:
-        return {
-            "record": "manifest",
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "chunk": self.chunk,
-            "started": self.started,
-            "finished": self.finished,
-            "tool_version": self.tool_version,
-        }
-
-
 # ----------------------------------------------------------------------------
 # serialization: floats always carry 17 significant digits; JSON has no
 # non-finite numbers, so those are written there as null
@@ -83,8 +55,8 @@ def _json_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt_float(value) if math.isfinite(value) else "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -102,21 +74,21 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _emit(stream, manifest: RunManifest, rows: list[dict], fmt: str) -> None:
+def _emit(stream, manifest: dict, rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        stream.write(_json_value(manifest.as_record()) + "\n")
+        stream.write(_json_value(manifest) + "\n")
         for row in rows:
             stream.write(_json_value(row) + "\n")
         return
-    stream.write("# manifest: " + _json_value(manifest.as_record()) + "\n")
+    stream.write("# manifest: " + _json_value(manifest) + "\n")
     fields: list[str] = []
     for row in rows:
         for key in row:
@@ -229,9 +201,9 @@ def _average_row(head: dict, args, est, target) -> dict:
     }
 
 
-def _tail_rows(m: int, n: int, reports) -> tuple[list[dict], bool]:
-    """Tail records, and whether any fraction exceeds its bound."""
-    rows = [
+def _tail_rows(m: int, n: int, reports) -> list[dict]:
+    """One record per tail report; `ok` is false where a fraction exceeds its bound."""
+    return [
         {
             "record": "tail",
             "m": m,
@@ -245,14 +217,13 @@ def _tail_rows(m: int, n: int, reports) -> tuple[list[dict], bool]:
         }
         for report in reports
     ]
-    return rows, not all(row["ok"] for row in rows)
 
 
 # ----------------------------------------------------------------------------
 # commands
 
 
-def _cmd_formula(args, settings) -> tuple[list[dict], bool, dict]:
+def _cmd_formula(args, settings) -> list[dict]:
     if args.m_range or args.n_range:
         ms = _parse_range(args.m_range) if args.m_range else [args.m]
         ns = _parse_range(args.n_range) if args.n_range else [args.n]
@@ -288,14 +259,7 @@ def _cmd_formula(args, settings) -> tuple[list[dict], bool, dict]:
                 "consistency_residual": str(assembly),
             }
         )
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "m_range": args.m_range,
-        "n_range": args.n_range,
-        "format": settings["format"],
-    }
-    return rows, False, params
+    return rows
 
 
 _TARGETS = {
@@ -305,7 +269,7 @@ _TARGETS = {
 }
 
 
-def _cmd_estimate(args, settings) -> tuple[list[dict], bool, dict]:
+def _cmd_estimate(args, settings) -> list[dict]:
     _check_pair(args, "estimate", 1)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
@@ -316,72 +280,51 @@ def _cmd_estimate(args, settings) -> tuple[list[dict], bool, dict]:
     else:
         estimates = {args.which: montecarlo.estimate_functional(
             args.m, args.n, args.which, args.samples, seed, **chunking)}
-    rows = [
+    return [
         _average_row({"record": "estimate", "which": which}, args, est,
                      _TARGETS[which](args.m, args.n))
         for which, est in estimates.items()
     ]
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "samples": args.samples,
-        "which": args.which,
-        "format": settings["format"],
-    }
-    return rows, False, params
 
 
-def _cmd_concentration(args, settings) -> tuple[list[dict], bool, dict]:
+def _cmd_concentration(args, settings) -> list[dict]:
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
-    rows: list[dict] = []
-    violation = False
     if args.m_range:
         ms = _parse_range(args.m_range)
         if any(m < 2 for m in ms):
             raise UsageError("sweep dimensions must be >= 2")
-        for row in montecarlo.concentration_sweep(
-            ms, args.samples, settings["seed"],
-            chunk=settings["chunk"], workers=settings["workers"],
-        ):
-            rows.append(
-                {
-                    "record": "concentration",
-                    "m": row.m,
-                    "n": row.m,
-                    "samples": args.samples,
-                    "mean": row.mean,
-                    "stddev": row.stddev,
-                    "stderr": row.stderr,
-                    "count": row.count,
-                    "target_float": row.target,
-                }
+        return [
+            {
+                "record": "concentration",
+                "m": row.m,
+                "n": row.m,
+                "samples": args.samples,
+                "mean": row.mean,
+                "stddev": row.stddev,
+                "stderr": row.stderr,
+                "count": row.count,
+                "target_float": row.target,
+            }
+            for row in montecarlo.concentration_sweep(
+                ms, args.samples, settings["seed"],
+                chunk=settings["chunk"], workers=settings["workers"],
             )
-    else:
-        _check_pair(args, "concentration (without --m-range)", 3)
-        rows, violation = _tail_rows(args.m, args.n, montecarlo.tail_experiment(
-            args.m, args.n, _parse_eps(args.eps), args.samples, settings["seed"],
-            chunk=settings["chunk"], workers=settings["workers"],
-        ))
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "m_range": args.m_range,
-        "eps": args.eps,
-        "samples": args.samples,
-        "format": settings["format"],
-    }
-    return rows, violation, params
+        ]
+    _check_pair(args, "concentration (without --m-range)", 3)
+    return _tail_rows(args.m, args.n, montecarlo.tail_experiment(
+        args.m, args.n, _parse_eps(args.eps), args.samples, settings["seed"],
+        chunk=settings["chunk"], workers=settings["workers"],
+    ))
 
 
-def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
+def _cmd_identities(args, settings) -> list[dict]:
     if args.max_m < 1 or args.max_n < 1:
         raise UsageError("--max-m and --max-n must be >= 1")
     if args.max_m > args.max_n:
         # every pair has m <= n, so m above --max-n would be dropped unchecked
         raise UsageError("--max-m must not exceed --max-n")
     rows: list[dict] = []
-    violation = False
     for m in range(1, args.max_m + 1):
         for n in range(m, args.max_n + 1):
             for report in (
@@ -389,7 +332,6 @@ def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
                 identities.gamma_ratio_sum_harmonic(m, n),
                 identities.riordan_identity_check(m, n),
             ):
-                violation |= not report.holds
                 rows.append(
                     {
                         "record": "identity",
@@ -418,8 +360,6 @@ def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
                     )
                 for name, k, value, closed in checks:
                     rel = abs(value - closed) / abs(closed)
-                    ok = rel <= tolerance
-                    violation |= not ok
                     rows.append(
                         {
                             "record": "quadrature",
@@ -431,19 +371,13 @@ def _cmd_identities(args, settings) -> tuple[list[dict], bool, dict]:
                             "closed_form": closed,
                             "rel_error": rel,
                             "tolerance": tolerance,
-                            "ok": ok,
+                            "ok": rel <= tolerance,
                         }
                     )
-    params = {
-        "max_m": args.max_m,
-        "max_n": args.max_n,
-        "quadrature": bool(args.quadrature),
-        "format": settings["format"],
-    }
-    return rows, violation, params
+    return rows
 
 
-def _cmd_entangle(args, settings) -> tuple[list[dict], bool, dict]:
+def _cmd_entangle(args, settings) -> list[dict]:
     _check_pair(args, "entangle", 3)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
@@ -452,16 +386,8 @@ def _cmd_entangle(args, settings) -> tuple[list[dict], bool, dict]:
         chunk=settings["chunk"], workers=settings["workers"], epsilons=_parse_eps(args.eps),
     )
     target = closedform.average_coherence_exact(args.m, args.n)
-    tails, violation = _tail_rows(args.m, args.n, est.tails)
-    rows = [_average_row({"record": "entanglement"}, args, est, target)] + tails
-    params = {
-        "m": args.m,
-        "n": args.n,
-        "samples": args.samples,
-        "eps": args.eps,
-        "format": settings["format"],
-    }
-    return rows, violation, params
+    return [_average_row({"record": "entanglement"}, args, est, target)] + _tail_rows(
+        args.m, args.n, est.tails)
 
 
 _COMMANDS = {
@@ -477,7 +403,9 @@ _COMMANDS = {
 # wiring
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, set[str]]:
+    """The parser, and the dests every command shares: the subcommand and the
+    settings flags. The rest are the command's own, recorded in its manifest."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="base RNG seed")
     common.add_argument("--chunk", type=int, default=None, help="samples per RNG stream")
@@ -519,7 +447,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--eps", default=_DEFAULT_EPS)
 
-    return parser
+    return parser, {"command", *vars(common.parse_args([]))}
 
 
 def _timestamp() -> str:
@@ -527,7 +455,7 @@ def _timestamp() -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, shared = _build_parser()
     # Exact fractions grow with lcm(1..mn): from about m = n = 100 their
     # integers pass the 4300 digits CPython converts to str by default. The
     # limit is lifted for this call only, as tests and benchmarks call main
@@ -557,21 +485,33 @@ def main(argv=None) -> int:
         if settings["workers"] < 1:
             raise UsageError("--workers must be >= 1")
         started = _timestamp()
-        rows, violation, params = _COMMANDS[args.command](args, settings)
-        manifest = RunManifest(
-            args.command, params, settings["seed"], settings["chunk"],
-            started, _timestamp(), __version__,
-        )
+        rows = _COMMANDS[args.command](args, settings)
+        parameters = {key: value for key, value in vars(args).items() if key not in shared}
+        manifest = {
+            "record": "manifest",
+            "command": args.command,
+            "parameters": {**parameters, "format": settings["format"]},
+            "seed": settings["seed"],
+            "chunk": settings["chunk"],
+            "started": started,
+            "finished": _timestamp(),
+            "tool_version": __version__,
+        }
+        # the file is opened only now, so a failed run leaves it untouched
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as stream:
-                _emit(stream, manifest, rows, settings["format"])
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as stream:
+                    _emit(stream, manifest, rows, settings["format"])
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc}") from exc
         else:
             _emit(sys.stdout, manifest, rows, settings["format"])
+        violation = any(row.get("ok") is False or row.get("holds") is False for row in rows)
         return EXIT_VIOLATION if violation else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SubentError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (SubentError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

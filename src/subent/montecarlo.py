@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import _check_pair, levy_coherence_bound
-from .errors import DomainError
+from .errors import ConvergenceFailure, DomainError
 from .qcore import Spectrum, entropy_values, subentropy_values
 # complex_normals is not called here; perfbench/inproc.py reads it from this module.
 from .sampling import RngStream, complex_normals, haar_blocks, induced_blocks, pure_blocks  # noqa: F401
@@ -126,10 +126,13 @@ def _run_ordered(fn, tasks, workers: int) -> list:
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
     workers = min(workers, len(tasks), usable)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, tasks))
+        return [fn(task) for task in tasks]
+    except np.linalg.LinAlgError as exc:  # from any chunk's eigensolver, here or in a worker
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def _merge(parts: list[MonteCarloEstimate]) -> MonteCarloEstimate:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from subent import closedform, estimate_functional
-from subent.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, RunManifest, _emit, _z_score, main
+from subent.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _emit, _z_score, main
 
 
 def run_to_file(tmp_path, name, argv):
@@ -337,10 +337,63 @@ class TestViolationExit:
         assert '"ok":false' in out.read_text()
 
 
+class TestRecordsDecideExit:
+    def test_identity_violation_exits_three(self, tmp_path, monkeypatch):
+        from subent.identities import IdentityReport
+
+        def broken(m, n):
+            return IdentityReport("gamma_ratio_sum_plain", (m, n),
+                                  Fraction(m * n + 1), Fraction(m * n), False)
+
+        monkeypatch.setattr("subent.identities.gamma_ratio_sum_plain", broken)
+        code, text = run_to_file(tmp_path, "i.json", ["identities", "--max-m", "2", "--max-n", "2"])
+        assert code == EXIT_VIOLATION
+        assert sum('"holds":false' in line for line in text.splitlines()) == 3
+
+    def test_quadrature_violation_exits_three(self, tmp_path, monkeypatch):
+        from subent import identities
+
+        closed = identities.aomoto_moment_closed
+        monkeypatch.setattr(identities, "aomoto_moment_closed",
+                            lambda m, k, alpha: 1.01 * closed(m, k, alpha))
+        code, text = run_to_file(tmp_path, "q.json",
+                                 ["identities", "--max-m", "1", "--max-n", "1", "--quadrature"])
+        assert code == EXIT_VIOLATION
+        rows = records(text)
+        assert all(row["ok"] is (row["name"] == "selberg_simplex")
+                   for row in rows if row["record"] == "quadrature")
+        assert all(row["holds"] for row in rows if row["record"] == "identity")
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, missing):
+        target = tmp_path / "missing" / "x.json" if missing else tmp_path
+        code = main(["formula", "--m", "2", "--n", "2", "--out", str(target)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: cannot write {target}: ")
+
+    def test_eigensolver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        out = tmp_path / "e.json"
+        out.write_text("kept\n", encoding="utf-8")
+        code = main(["estimate", "--m", "2", "--n", "2", "--samples", "8", "--workers", "1",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "kept\n"  # a failed run writes nothing
+
+
 class TestJsonRecords:
     def test_non_finite_fields_written_as_null(self):
         stream = io.StringIO()
-        manifest = RunManifest("estimate", {}, 0, 1, "", "", "0")
+        manifest = {"record": "manifest", "command": "estimate", "parameters": {}, "seed": 0,
+                    "chunk": 1, "started": "", "finished": "", "tool_version": "0"}
         rows = [{"z": _z_score(1.0, 0.0, 0.0), "mean": math.nan, "target": 0.1}]
         _emit(stream, manifest, rows, "json")
         line = stream.getvalue().splitlines()[1]
@@ -368,6 +421,63 @@ class TestGoldenExactPayloads:
         body = text.split("\n", 1)[1]
         assert len(body.splitlines()) == rows
         assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
+class TestGoldenManifests:
+    """The manifest record, timestamps aside, byte for byte: key order
+    included, since the stream writes keys in dict order."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["formula", "--m", "2", "--n", "3"],
+             {"command": "formula",
+              "parameters": {"m": 2, "n": 3, "m_range": None, "n_range": None, "format": "json"},
+              "seed": 0, "chunk": 1024}),
+            (["formula", "--m-range", "1..3", "--n-range", "2..4", "--format", "csv"],
+             {"command": "formula",
+              "parameters": {"m": None, "n": None, "m_range": "1..3", "n_range": "2..4",
+                             "format": "csv"},
+              "seed": 0, "chunk": 1024}),
+            (["estimate", "--m", "3", "--n", "4", "--samples", "20", "--which", "entropy",
+              "--seed", "5", "--chunk", "8", "--workers", "1"],
+             {"command": "estimate",
+              "parameters": {"m": 3, "n": 4, "samples": 20, "which": "entropy", "format": "json"},
+              "seed": 5, "chunk": 8}),
+            (["concentration", "--m", "3", "--n", "4", "--samples", "20", "--eps", "0.1,0.3",
+              "--workers", "1"],
+             {"command": "concentration",
+              "parameters": {"m": 3, "n": 4, "m_range": None, "eps": "0.1,0.3", "samples": 20,
+                             "format": "json"},
+              "seed": 0, "chunk": 1024}),
+            (["concentration", "--m-range", "2..3", "--samples", "20", "--chunk", "7",
+              "--workers", "1"],
+             {"command": "concentration",
+              "parameters": {"m": None, "n": None, "m_range": "2..3", "eps": "0.05,0.1,0.2",
+                             "samples": 20, "format": "json"},
+              "seed": 0, "chunk": 7}),
+            (["identities", "--max-m", "2", "--max-n", "3", "--quadrature"],
+             {"command": "identities",
+              "parameters": {"max_m": 2, "max_n": 3, "quadrature": True, "format": "json"},
+              "seed": 0, "chunk": 1024}),
+            (["entangle", "--m", "3", "--n", "3", "--samples", "20", "--seed", "9",
+              "--workers", "1"],
+             {"command": "entangle",
+              "parameters": {"m": 3, "n": 3, "samples": 20, "eps": "0.05,0.1,0.2",
+                             "format": "json"},
+              "seed": 9, "chunk": 1024}),
+        ],
+    )
+    def test_manifest_record(self, tmp_path, monkeypatch, argv, expected):
+        for name in ("SEED", "FORMAT", "WORKERS"):
+            monkeypatch.delenv("SUBENT_" + name, raising=False)
+        code, text = run_to_file(tmp_path, "m.out", argv)
+        assert code == EXIT_OK
+        line = text.splitlines()[0].removeprefix("# manifest: ")
+        manifest = json.loads(line)
+        del manifest["started"], manifest["finished"]
+        expected = {"record": "manifest", **expected, "tool_version": "0.1.0"}
+        assert json.dumps(manifest) == json.dumps(expected)
 
 
 class TestCsvFormat:

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from subent import (
+    ConvergenceFailure,
     DimensionOrder,
     DomainError,
     MonteCarloEstimate,
@@ -115,6 +116,15 @@ class TestEstimateFunctional:
         large = estimate_functional(2, 2, "coherence", 16000, seed=22)
         ratio = small.stderr / large.stderr
         assert 1.7 <= ratio <= 2.3  # ideal factor is 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_eigensolver_failure_is_convergence_failure(self, monkeypatch, workers):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            estimate_functional(2, 2, "entropy", 8, seed=0, chunk=4, workers=workers)
 
     def test_validation(self):
         with pytest.raises(DimensionOrder):
