@@ -1,79 +1,103 @@
 """Random mixed quantum states: spectral functionals, their closed-form
-averages, and Monte Carlo plus exact-arithmetic verification of both."""
+averages, and Monte Carlo plus exact-arithmetic verification of both.
+
+The public names below are loaded on first access (PEP 562), so the exact
+commands, which need no linear algebra, never import numpy or mpmath.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+#: Samples per RNG stream; part of every run manifest, hence of every payload.
+DEFAULT_CHUNK = 1024
 
-from .closedform import (
-    ExactValue,
-    average_coherence_exact,
-    average_entropy_exact,
-    average_subentropy_exact,
-    average_subentropy_series,
-    digamma_integer_diff,
-    harmonic,
-    isospectral_average_coherence,
-    levy_coherence_bound,
-    levy_coherence_bound_half,
-    normalization_integral,
-    selberg_integral,
-)
-from .entangle import (
-    EmbeddedAverage,
-    MaxCorrelatedState,
-    average_embedded_entanglement,
-    cnot_embed,
-    entanglement_measures,
-)
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    DimensionOrder,
-    DomainError,
-    QuadratureFailure,
-    SingularSample,
-    SubentError,
-)
-from .identities import (
-    IdentityReport,
-    aomoto_quadrature_oracle,
-    gamma_ratio_sum_harmonic,
-    gamma_ratio_sum_plain,
-    riordan_identity_check,
-    selberg_quadrature_oracle,
-)
-from .montecarlo import (
-    ConcentrationRow,
-    LipschitzReport,
-    MonteCarloEstimate,
-    TailReport,
-    concentration_sweep,
-    estimate_functional,
-    estimate_induced,
-    estimate_isospectral_coherence,
-    lipschitz_check,
-    tail_experiment,
-)
-from .qcore import (
-    EULER_GAMMA,
-    SUBENTROPY_MAX,
-    DensityMatrix,
-    Functionals,
-    PureState,
-    Spectrum,
-    dephase,
-    functionals,
-    partial_trace,
-    relative_entropy_coherence,
-    spectrum_of,
-    subentropy,
-    von_neumann_entropy,
-)
-from .sampling import (
-    RngStream,
-    UnitaryMatrix,
-    ginibre,
-    haar_pure_state,
-    haar_unitary,
-    induced_mixed_state,
-    isospectral_state,
-)
+_EXPORTS = {
+    "closedform": (
+        "ExactValue",
+        "average_coherence_exact",
+        "average_entropy_exact",
+        "average_subentropy_exact",
+        "average_subentropy_series",
+        "digamma_integer_diff",
+        "harmonic",
+        "isospectral_average_coherence",
+        "levy_coherence_bound",
+        "levy_coherence_bound_half",
+        "normalization_integral",
+        "selberg_integral",
+    ),
+    "entangle": (
+        "EmbeddedAverage",
+        "MaxCorrelatedState",
+        "average_embedded_entanglement",
+        "cnot_embed",
+        "entanglement_measures",
+    ),
+    "errors": (
+        "ConvergenceFailure",
+        "DimensionMismatch",
+        "DimensionOrder",
+        "DomainError",
+        "QuadratureFailure",
+        "SingularSample",
+        "SubentError",
+    ),
+    "identities": (
+        "IdentityReport",
+        "aomoto_quadrature_oracle",
+        "gamma_ratio_sum_harmonic",
+        "gamma_ratio_sum_plain",
+        "riordan_identity_check",
+        "selberg_quadrature_oracle",
+    ),
+    "montecarlo": (
+        "ConcentrationRow",
+        "LipschitzReport",
+        "MonteCarloEstimate",
+        "TailReport",
+        "concentration_sweep",
+        "estimate_functional",
+        "estimate_induced",
+        "estimate_isospectral_coherence",
+        "lipschitz_check",
+        "tail_experiment",
+    ),
+    "qcore": (
+        "EULER_GAMMA",
+        "SUBENTROPY_MAX",
+        "DensityMatrix",
+        "Functionals",
+        "PureState",
+        "Spectrum",
+        "dephase",
+        "functionals",
+        "partial_trace",
+        "relative_entropy_coherence",
+        "spectrum_of",
+        "subentropy",
+        "von_neumann_entropy",
+    ),
+    "sampling": (
+        "RngStream",
+        "UnitaryMatrix",
+        "ginibre",
+        "haar_pure_state",
+        "haar_unitary",
+        "induced_mixed_state",
+        "isospectral_state",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

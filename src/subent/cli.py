@@ -16,8 +16,9 @@ import os
 import sys
 import time
 
-from . import __version__, closedform, identities, montecarlo
-from .entangle import average_embedded_entanglement
+# `montecarlo` and `entangle` (numpy, mpmath) are imported inside the commands
+# that draw samples, so `formula` and `identities` start without them.
+from . import DEFAULT_CHUNK, __version__, closedform, identities
 from .errors import SubentError
 
 ENV_PREFIX = "SUBENT_"
@@ -270,6 +271,8 @@ _TARGETS = {
 
 
 def _cmd_estimate(args, settings) -> list[dict]:
+    from . import montecarlo
+
     _check_pair(args, "estimate", 1)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
@@ -288,6 +291,8 @@ def _cmd_estimate(args, settings) -> list[dict]:
 
 
 def _cmd_concentration(args, settings) -> list[dict]:
+    from . import montecarlo
+
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
     if args.m_range:
@@ -375,6 +380,13 @@ def _cmd_identities(args, settings) -> list[dict]:
                         }
                     )
     return rows
+
+
+def average_embedded_entanglement(*args, **kwargs):
+    """`entangle.average_embedded_entanglement`, imported on first call."""
+    from . import entangle
+
+    return entangle.average_embedded_entanglement(*args, **kwargs)
 
 
 def _cmd_entangle(args, settings) -> list[dict]:
@@ -471,7 +483,7 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         settings = {
             "seed": _resolve(args.seed, "SEED", config, "seed", 0, int),
-            "chunk": _resolve(args.chunk, None, config, "chunk", montecarlo.DEFAULT_CHUNK, int),
+            "chunk": _resolve(args.chunk, None, config, "chunk", DEFAULT_CHUNK, int),
             "format": _resolve(args.format, "FORMAT", config, "format", "json", str),
             "workers": _resolve(args.workers, "WORKERS", config, "workers",
                                 os.cpu_count() or 1, int),
@@ -505,7 +517,10 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise UsageError(f"cannot write {args.out}: {exc}") from exc
         else:
-            _emit(sys.stdout, manifest, rows, settings["format"])
+            try:
+                _emit(sys.stdout, manifest, rows, settings["format"])
+            except BrokenPipeError:
+                pass  # the reader stopped early; the records still decide the exit code
         violation = any(row.get("ok") is False or row.get("holds") is False for row in rows)
         return EXIT_VIOLATION if violation else EXIT_OK
     except UsageError as exc:
@@ -520,7 +535,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit and would report that
+        # failure too; point the closed descriptor at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import qcore
 from .errors import DimensionOrder, DomainError
-from .qcore import Spectrum
+
+if TYPE_CHECKING:
+    from .qcore import Spectrum
 
 _LN2 = math.log(2.0)
 _harmonics: list[Fraction] = [Fraction(0)]
@@ -175,6 +176,8 @@ def average_coherence_exact(m: int, n: int) -> Fraction:
 
 def isospectral_average_coherence(spec: Spectrum) -> float:
     """Haar-average coherence on one isospectral orbit: H_m - 1 + Q - S."""
+    from . import qcore  # numpy and mpmath, which the exact forms never need
+
     base = float(harmonic(spec.m)) - 1.0
     return base + qcore.subentropy(spec) - qcore.von_neumann_entropy(spec)
 

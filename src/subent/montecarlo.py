@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_CHUNK
 from .closedform import _check_pair, levy_coherence_bound
 from .errors import ConvergenceFailure, DomainError
 from .qcore import Spectrum, entropy_values, subentropy_values
 # complex_normals is not called here; perfbench/inproc.py reads it from this module.
 from .sampling import RngStream, complex_normals, haar_blocks, induced_blocks, pure_blocks  # noqa: F401
 
-DEFAULT_CHUNK = 1024
 FUNCTIONALS = ("entropy", "subentropy", "coherence")
 LIPSCHITZ_FUNCTIONALS = ("coherence", "dephased_entropy", "entropy")
 _MIN_PAIR_DISTANCE = 1e-8

@@ -329,7 +329,7 @@ class TestViolationExit:
         def fake_tails(m, n, eps, samples, seed, chunk=1024, workers=1):
             return [TailReport(0.1, (m - 1) / (2 * n), 0.9, 0.5, samples)]
 
-        monkeypatch.setattr("subent.cli.montecarlo.tail_experiment", fake_tails)
+        monkeypatch.setattr("subent.montecarlo.tail_experiment", fake_tails)
         out = tmp_path / "v.json"
         code = main(["concentration", "--m", "3", "--n", "3", "--samples", "100",
                      "--out", str(out)])
@@ -543,6 +543,69 @@ def test_quadrature_sweep_does_not_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
     assert sum('"record":"quadrature"' in line for line in out.read_text(encoding="utf-8").splitlines()) == 28
+
+
+def _loaded(code: str) -> list[str]:
+    """The numpy and mpmath modules a fresh interpreter holds after `code`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport json, sys\n"
+         "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] in ('numpy', 'mpmath'))))"],
+        capture_output=True, text=True, timeout=120, env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("module", ["subent", "subent.cli", "subent.closedform"])
+def test_import_does_not_load_numpy_or_mpmath(module):
+    assert _loaded(f"import {module}") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["formula", "--m", "2", "--n", "2"],
+    ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"],
+])
+def test_exact_commands_do_not_load_numpy_or_mpmath(tmp_path, argv):
+    argv = argv + ["--out", str(tmp_path / "x.json")]
+    assert _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0") == []
+
+
+_BREAK_IDENTITY = """
+from fractions import Fraction
+from subent import identities
+identities.gamma_ratio_sum_plain = lambda m, n: identities.IdentityReport(
+    "gamma_ratio_sum_plain", (m, n), Fraction(m * n + 1), Fraction(m * n), False)
+"""
+
+
+# Both outputs are several times a pipe's 64 KiB, so the reader's close
+# breaks the pipe while the records are still being written.
+@pytest.mark.parametrize("setup, argv, expected", [
+    ("", ["formula", "--m-range", "1..40", "--n-range", "1..40"], EXIT_OK),
+    (_BREAK_IDENTITY, ["identities", "--max-m", "8", "--max-n", "120"], EXIT_VIOLATION),
+], ids=["formula", "identity-violation"])
+def test_closed_pipe_keeps_exit_code(setup, argv, expected):
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         setup + f"\nimport sys\nfrom subent.cli import run\nsys.argv = ['subent'] + {argv!r}\nrun()"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env(),
+    )
+    assert proc.stdout.readline().startswith(b'{"record":"manifest"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == expected
+    assert err == b""
+
+
+def test_main_returns_records_exit_code_on_broken_pipe(monkeypatch):
+    # a StringIO has no descriptor, so any redirect of one in main would raise
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["formula", "--m", "2", "--n", "2"]) == EXIT_OK
 
 
 def test_violation_exit_code_is_distinct():
