@@ -17,7 +17,8 @@ import sys
 import time
 
 # `montecarlo` and `entangle` (numpy, mpmath) are imported inside the commands
-# that draw samples, so `formula` and `identities` start without them.
+# that draw samples, and `pool` inside the quadrature sweep, so `formula` and
+# `identities` start without them.
 from . import DEFAULT_CHUNK, __version__, closedform, identities
 from .errors import SubentError
 
@@ -349,37 +350,42 @@ def _cmd_identities(args, settings) -> list[dict]:
                     }
                 )
     if args.quadrature:
-        for m in sorted(identities.QUADRATURE_TARGETS):
+        from .pool import run_ordered
+
+        # (m, k, alpha); k None is the Selberg normalization, k >= 1 an Aomoto moment
+        tasks = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
+                 for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))]
+        values = run_ordered(_quadrature_value, tasks, settings["workers"])
+        for (m, k, alpha), value in zip(tasks, values):
+            if k is None:
+                name, closed = "selberg_simplex", closedform.normalization_integral(m, alpha, 1.0)
+            else:
+                name, closed = "aomoto_moment", identities.aomoto_moment_closed(m, k, alpha)
             tolerance = identities.QUADRATURE_TARGETS[m]
-            for alpha in QUADRATURE_ALPHAS:
-                checks = [("selberg_simplex", None, identities.selberg_quadrature_oracle(m, alpha),
-                           closedform.normalization_integral(m, alpha, 1.0))]
-                for k in range(1, m + 1):
-                    checks.append(
-                        (
-                            "aomoto_moment",
-                            k,
-                            identities.aomoto_quadrature_oracle(m, k, alpha),
-                            identities.aomoto_moment_closed(m, k, alpha),
-                        )
-                    )
-                for name, k, value, closed in checks:
-                    rel = abs(value - closed) / abs(closed)
-                    rows.append(
-                        {
-                            "record": "quadrature",
-                            "name": name,
-                            "m": m,
-                            "k": k,
-                            "alpha": alpha,
-                            "value": value,
-                            "closed_form": closed,
-                            "rel_error": rel,
-                            "tolerance": tolerance,
-                            "ok": rel <= tolerance,
-                        }
-                    )
+            rel = abs(value - closed) / abs(closed)
+            rows.append(
+                {
+                    "record": "quadrature",
+                    "name": name,
+                    "m": m,
+                    "k": k,
+                    "alpha": alpha,
+                    "value": value,
+                    "closed_form": closed,
+                    "rel_error": rel,
+                    "tolerance": tolerance,
+                    "ok": rel <= tolerance,
+                }
+            )
     return rows
+
+
+def _quadrature_value(task) -> float:
+    """One certified quadrature oracle; runs in a worker when there are several."""
+    m, k, alpha = task
+    if k is None:
+        return identities.selberg_quadrature_oracle(m, alpha)
+    return identities.aomoto_quadrature_oracle(m, k, alpha)
 
 
 def average_embedded_entanglement(*args, **kwargs):

@@ -93,19 +93,28 @@ def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:
     return math.exp(log)
 
 
-def _triangle_quad(f: Callable[[float, float], float], epsabs: float,
-                   epsrel: float) -> tuple[float, float]:
+def _triangle_quad(f: Callable[[float, float], float], epsabs: float, epsrel: float,
+                   panels: dict[float, dict] | None = None) -> tuple[float, float]:
     """Integral of f(x, y) over x + y <= 1 in the positive quadrant.
 
     Nests `quad` over y in [0, 1 - x] inside `quad` over x, both at epsabs,
     epsrel and limit 50, as `scipy.integrate.dblquad` does; the error is the
     largest estimate of any call, as dblquad reports it.
+
+    `panels`, if given, maps each outer node x to the `quad` panel dict of
+    the inner integral at x, so a later call on the same f with the same dict
+    evaluates f only on inner subintervals no earlier call visited. The outer
+    integrand is an inner integral at this call's tolerance, so its panels
+    are not kept. The result is the same, bit for bit, with or without.
     """
     worst = 0.0
+    if panels is None:
+        panels = {}
 
     def inner(x: float) -> float:
         nonlocal worst
-        value, err = quad(partial(f, x), 0.0, 1.0 - x, epsabs, epsrel)
+        value, err = quad(partial(f, x), 0.0, 1.0 - x, epsabs, epsrel,
+                          panels=panels.setdefault(x, {}))
         worst = max(worst, err)
         return value
 
@@ -118,8 +127,10 @@ def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
 
     The trace delta is removed by substituting the last coordinate, leaving
     an ordinary integral over the (m-1)-simplex. At m = 3 a rough pass fixes
-    the scale, then a second pass integrates to the certified tolerance.
-    Returns (value, error estimate).
+    the scale, then a second pass integrates to the certified tolerance. The
+    fine pass visits almost every outer node of the rough one, so both share
+    one inner panel dict per node and the fine pass evaluates the integrand
+    only where it refines further. Returns (value, error estimate).
     """
     if m == 2:
 
@@ -149,9 +160,10 @@ def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
         return value
 
     target = QUADRATURE_TARGETS[m]
-    rough, _ = _triangle_quad(integrand, 1e-13, 1e-3)
+    panels: dict[float, dict] = {}
+    rough, _ = _triangle_quad(integrand, 1e-13, 1e-3, panels)
     scale = max(abs(rough), 1e-300)
-    return _triangle_quad(integrand, scale * target * 1e-3, target * 1e-2)
+    return _triangle_quad(integrand, scale * target * 1e-3, target * 1e-2, panels)
 
 
 def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:

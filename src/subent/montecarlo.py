@@ -12,8 +12,6 @@ whole run; nothing is resampled, since that would bias the measure.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +19,7 @@ import numpy as np
 from . import DEFAULT_CHUNK
 from .closedform import _check_pair, levy_coherence_bound
 from .errors import ConvergenceFailure, DomainError
+from .pool import run_ordered
 from .qcore import Spectrum, entropy_values, subentropy_values
 # complex_normals is not called here; perfbench/inproc.py reads it from this module.
 from .sampling import RngStream, complex_normals, haar_blocks, induced_blocks, pure_blocks  # noqa: F401
@@ -123,14 +122,8 @@ def _tasks(head: tuple, seed: int, samples: int, chunk: int) -> list[tuple]:
 
 
 def _run_ordered(fn, tasks, workers: int) -> list:
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    workers = min(workers, len(tasks), usable)
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, tasks))
-        return [fn(task) for task in tasks]
+        return run_ordered(fn, tasks, workers)
     except np.linalg.LinAlgError as exc:  # from any chunk's eigensolver, here or in a worker
         raise ConvergenceFailure(str(exc)) from exc
 

@@ -233,19 +233,34 @@ def _qelg(n: int, epstab: list[float], res3la: list[float],
 
 
 def quad(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float,
-         limit: int = 50) -> tuple[float, float]:
+         limit: int = 50, panels: dict | None = None) -> tuple[float, float]:
     """Integral of f over the finite interval [a, b] with a < b, by dqagse.
 
     Returns (value, abserr) as `scipy.integrate.quad(f, a, b, epsabs=epsabs,
     epsrel=epsrel, limit=limit)` does. QUADPACK's ier flag is dropped, as
     scipy drops it after a warning: a caller certifies abserr itself.
+
+    `panels`, if given, maps a subinterval (lo, hi) to its 21-point rule and
+    is filled as the bisection goes. A rule is a pure function of f and its
+    interval, so a later call with the same dict evaluates f only on
+    subintervals no earlier call visited, and returns the same bits. A panel
+    dict belongs to one integrand: reusing it for another f is wrong.
     """
     if not (-_OFLOW <= a < b <= _OFLOW):
         raise ValueError(f"need a finite interval a < b, got [{a}, {b}]")
     if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29)):
         raise ValueError("need limit >= 1, and epsrel above 50 eps when epsabs <= 0")
 
-    result, abserr, defabs, resabs = _qk21(f, a, b)
+    if panels is None:
+        panels = {}
+
+    def qk21(lo: float, hi: float) -> tuple[float, float, float, float]:
+        rule = panels.get((lo, hi))
+        if rule is None:
+            rule = panels[lo, hi] = _qk21(f, lo, hi)
+        return rule
+
+    result, abserr, defabs, resabs = qk21(a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     if (
@@ -286,8 +301,8 @@ def quad(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = _qk21(f, a1, b1)
-        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        area1, error1, _, defab1 = qk21(a1, b1)
+        area2, error2, _, defab2 = qk21(a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

@@ -2,7 +2,9 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +13,11 @@ import pytest
 
 from subent import closedform, estimate_functional
 from subent.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _emit, _z_score, main
+
+
+# The pooled-quadrature tests need two CPUs this process may use; below that
+# the CLI runs every task in one process.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def run_to_file(tmp_path, name, argv):
@@ -236,6 +243,19 @@ class TestIdentities:
         assert all(r["ok"] for r in quad)
         assert all(r["rel_error"] <= r["tolerance"] for r in quad)
 
+    def test_quadrature_bytes_do_not_depend_on_workers(self, tmp_path):
+        argv = ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"]
+        texts = [run_to_file(tmp_path, f"w{w}.json", argv + ["--workers", w])[1] for w in "12"]
+        masked = [re.sub(r'"(started|finished)":"[^"]*"', r'"\1":""', text) for text in texts]
+        assert masked[0] == masked[1]
+        order = [(r["name"], r["m"], r["k"], r["alpha"])
+                 for r in records(texts[1]) if r["record"] == "quadrature"]
+        # per m, per alpha: the Selberg normalization, then the moments k = 1..m
+        assert order == [
+            ("selberg_simplex" if k is None else "aomoto_moment", m, k, alpha)
+            for m in (2, 3) for alpha in (1.0, 1.5, 2.0, 3.0) for k in (None, *range(1, m + 1))
+        ]
+
 
 class TestEntangleCommand:
     def test_average_and_tails(self, tmp_path):
@@ -363,6 +383,44 @@ class TestRecordsDecideExit:
         assert all(row["ok"] is (row["name"] == "selberg_simplex")
                    for row in rows if row["record"] == "quadrature")
         assert all(row["holds"] for row in rows if row["record"] == "identity")
+
+    def test_quadrature_violation_exits_three_on_two_workers(self, tmp_path, monkeypatch, capfd):
+        from subent import identities
+
+        # the closed forms are computed in the parent, the integrals in the workers
+        closed = identities.aomoto_moment_closed
+        monkeypatch.setattr(identities, "aomoto_moment_closed",
+                            lambda m, k, alpha: 1.01 * closed(m, k, alpha))
+        code, text = run_to_file(tmp_path, "q.json", ["identities", "--max-m", "1", "--max-n", "1",
+                                                      "--quadrature", "--workers", "2"])
+        assert code == EXIT_VIOLATION
+        rows = records(text)
+        assert all(row["ok"] is (row["name"] == "selberg_simplex")
+                   for row in rows if row["record"] == "quadrature")
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(_CPUS < 2 or multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="needs two usable CPUs and forked workers")
+    def test_quadrature_failure_in_worker_exits_two(self, tmp_path, monkeypatch, capfd):
+        from subent import identities
+
+        parent = os.getpid()
+
+        def uncertified(m, alpha, moment):
+            if os.getpid() == parent:
+                pytest.fail("integrated in the parent process")
+            return 1.0, 1.0  # an error estimate as large as the value
+
+        # the workers are forked, so they inherit the patch
+        monkeypatch.setattr(identities, "_simplex_integral", uncertified)
+        out = tmp_path / "q.json"
+        code = main(["identities", "--max-m", "1", "--max-n", "1", "--quadrature",
+                     "--workers", "2", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert capfd.readouterr().err == "numerical failure: 1-D error estimate 1 above target\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestFailurePaths:
@@ -545,12 +603,12 @@ def test_quadrature_sweep_does_not_load_scipy(tmp_path):
     assert sum('"record":"quadrature"' in line for line in out.read_text(encoding="utf-8").splitlines()) == 28
 
 
-def _loaded(code: str) -> list[str]:
-    """The numpy and mpmath modules a fresh interpreter holds after `code`."""
+def _loaded(code: str, packages=("numpy", "mpmath")) -> list[str]:
+    """The modules of `packages` a fresh interpreter holds after `code`."""
     proc = subprocess.run(
         [sys.executable, "-c",
          code + "\nimport json, sys\n"
-         "print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] in ('numpy', 'mpmath'))))"],
+         f"print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] in {packages!r})))"],
         capture_output=True, text=True, timeout=120, env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
@@ -560,6 +618,20 @@ def _loaded(code: str) -> list[str]:
 @pytest.mark.parametrize("module", ["subent", "subent.cli", "subent.closedform"])
 def test_import_does_not_load_numpy_or_mpmath(module):
     assert _loaded(f"import {module}") == []
+
+
+def test_import_does_not_load_the_pool():
+    assert _loaded("import subent.cli", ("concurrent", "multiprocessing")) == []
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="needs two usable CPUs")
+def test_pooled_quadrature_does_not_load_numpy_or_mpmath(tmp_path):
+    argv = ["identities", "--max-m", "3", "--max-n", "3", "--quadrature", "--workers", "2",
+            "--out", str(tmp_path / "q.json")]
+    loaded = _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0",
+                     ("numpy", "mpmath", "concurrent"))
+    assert "concurrent.futures.process" in loaded  # the integrals ran on a pool
+    assert [k for k in loaded if k.split(".")[0] != "concurrent"] == []
 
 
 @pytest.mark.parametrize("argv", [

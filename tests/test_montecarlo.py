@@ -24,7 +24,7 @@ from subent import (
     lipschitz_check,
     tail_experiment,
 )
-from subent import montecarlo
+from subent import montecarlo, pool
 from subent.montecarlo import (
     FUNCTIONALS,
     TailReport,
@@ -267,8 +267,9 @@ class TestPoolSize:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        # the pool runner imports its executor only when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         est = estimate_functional(2, 2, "coherence", 8 * 16, seed=3, chunk=16, workers=workers)
         assert sizes == expected

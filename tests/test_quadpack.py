@@ -100,6 +100,50 @@ def test_cli_integrals_equal_scipy_route(m, alpha, moment):
     assert identities._simplex_integral(m, alpha, moment) == oracles.simplex_integral_scipy(m, alpha, moment)
 
 
+class TestPanels:
+    """A panel dict caches 21-point rules; it must never change a result."""
+
+    @pytest.mark.parametrize("g, a, b", [
+        (lambda x: x ** -0.5, 0.0, 1.0),  # extrapolated endpoint singularity
+        (lambda x: math.log(x), 0.0, 2.0),
+        (lambda x: math.sin(50.0 * x) * math.exp(-x), 0.0, 3.0),
+        (lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-6), -1.0, 1.0),
+    ], ids=["power", "log", "oscillatory", "peak"])
+    def test_reuse_is_bit_identical_and_free(self, g, a, b):
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return g(x)
+
+        expected = quad(f, a, b, 0.0, 1e-10)
+        fresh: dict = {}
+        assert quad(f, a, b, 0.0, 1e-10, panels=fresh) == expected
+        prefilled: dict = {}
+        quad(f, a, b, 1e-13, 1e-3, panels=prefilled)
+        assert quad(f, a, b, 0.0, 1e-10, panels=prefilled) == expected
+        calls = 0
+        assert quad(f, a, b, 0.0, 1e-10, panels=fresh) == expected
+        assert calls == 0
+
+    def test_fine_pass_reuses_the_rough_panels(self):
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return x ** -0.5
+
+        panels: dict = {}
+        quad(f, 0.0, 1.0, 1e-13, 1e-3, panels=panels)
+        rough_calls, calls = calls, 0
+        quad(f, 0.0, 1.0, 0.0, 1e-10, panels=panels)
+        fine_calls, calls = calls, 0
+        quad(f, 0.0, 1.0, 0.0, 1e-10)
+        assert rough_calls > 0 and fine_calls == calls - rough_calls
+
+
 class TestInput:
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_needs_finite_increasing_interval(self, a, b):
