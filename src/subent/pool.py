@@ -9,6 +9,13 @@ from __future__ import annotations
 import os
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ordered(fn, tasks, workers: int) -> list:
     """[fn(task) for task in tasks], on up to `workers` processes.
 
@@ -16,9 +23,7 @@ def run_ordered(fn, tasks, workers: int) -> list:
     one worker the tasks run here. Results come back in task order, and the
     first exception a task raises, here or in a worker, propagates.
     """
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    workers = min(workers, len(tasks), usable)
+    workers = min(workers, len(tasks), usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -13,11 +13,12 @@ import pytest
 
 from subent import closedform, estimate_functional
 from subent.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _emit, _z_score, main
+from subent.pool import usable_cpus
 
 
 # The pooled-quadrature tests need two CPUs this process may use; below that
 # the CLI runs every task in one process.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_CPUS = usable_cpus()
 
 
 def run_to_file(tmp_path, name, argv):
