@@ -26,13 +26,7 @@ _EXPORTS = {
         "normalization_integral",
         "selberg_integral",
     ),
-    "entangle": (
-        "EmbeddedAverage",
-        "MaxCorrelatedState",
-        "average_embedded_entanglement",
-        "cnot_embed",
-        "entanglement_measures",
-    ),
+    "entangle": ("average_embedded_entanglement",),
     "errors": (
         "ConvergenceFailure",
         "DimensionMismatch",

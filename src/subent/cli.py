@@ -17,10 +17,11 @@ import sys
 import time
 
 # `montecarlo` and `entangle` (numpy, mpmath) are imported inside the commands
-# that draw samples, and `pool` inside the quadrature sweep, so `formula` and
-# `identities` start without them.
+# that draw samples, so `formula` and `identities` start without them; `pool`
+# imports `concurrent.futures` only when it starts a pool.
 from . import DEFAULT_CHUNK, __version__, closedform, identities
 from .errors import SubentError
+from .pool import run_ordered, usable_cpus
 
 ENV_PREFIX = "SUBENT_"
 EXIT_OK = 0
@@ -225,7 +226,18 @@ def _tail_rows(m: int, n: int, reports) -> list[dict]:
 # commands
 
 
+def _reject_overridden(args, range_flag: str, flags) -> None:
+    """A range replaces these flags, so giving both is a usage error."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise UsageError(f"--{range_flag} replaces {' and '.join(given)}; give one or the other")
+
+
 def _cmd_formula(args, settings) -> list[dict]:
+    if args.m_range:
+        _reject_overridden(args, "m-range", ("m",))
+    if args.n_range:
+        _reject_overridden(args, "n-range", ("n",))
     if args.m_range or args.n_range:
         ms = _parse_range(args.m_range) if args.m_range else [args.m]
         ns = _parse_range(args.n_range) if args.n_range else [args.n]
@@ -296,7 +308,9 @@ def _cmd_concentration(args, settings) -> list[dict]:
 
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
+    epsilons = _parse_eps(args.eps)
     if args.m_range:
+        _reject_overridden(args, "m-range", ("m", "n"))
         ms = _parse_range(args.m_range)
         if any(m < 2 for m in ms):
             raise UsageError("sweep dimensions must be >= 2")
@@ -319,7 +333,7 @@ def _cmd_concentration(args, settings) -> list[dict]:
         ]
     _check_pair(args, "concentration (without --m-range)", 3)
     return _tail_rows(args.m, args.n, montecarlo.tail_experiment(
-        args.m, args.n, _parse_eps(args.eps), args.samples, settings["seed"],
+        args.m, args.n, epsilons, args.samples, settings["seed"],
         chunk=settings["chunk"], workers=settings["workers"],
     ))
 
@@ -350,8 +364,6 @@ def _cmd_identities(args, settings) -> list[dict]:
                     }
                 )
     if args.quadrature:
-        from .pool import run_ordered
-
         # (m, k, alpha); k None is the Selberg normalization, k >= 1 an Aomoto moment
         tasks = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
                  for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))]
@@ -399,13 +411,13 @@ def _cmd_entangle(args, settings) -> list[dict]:
     _check_pair(args, "entangle", 3)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
-    est = average_embedded_entanglement(
+    est, tails = average_embedded_entanglement(
         args.m, args.n, args.samples, settings["seed"],
         chunk=settings["chunk"], workers=settings["workers"], epsilons=_parse_eps(args.eps),
     )
     target = closedform.average_coherence_exact(args.m, args.n)
     return [_average_row({"record": "entanglement"}, args, est, target)] + _tail_rows(
-        args.m, args.n, est.tails)
+        args.m, args.n, tails)
 
 
 _COMMANDS = {
@@ -491,8 +503,7 @@ def main(argv=None) -> int:
             "seed": _resolve(args.seed, "SEED", config, "seed", 0, int),
             "chunk": _resolve(args.chunk, None, config, "chunk", DEFAULT_CHUNK, int),
             "format": _resolve(args.format, "FORMAT", config, "format", "json", str),
-            "workers": _resolve(args.workers, "WORKERS", config, "workers",
-                                os.cpu_count() or 1, int),
+            "workers": _resolve(args.workers, "WORKERS", config, "workers", usable_cpus(), int),
         }
         if settings["format"] not in ("json", "csv"):
             raise UsageError(f"unknown format {settings['format']!r}")

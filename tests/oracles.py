@@ -9,7 +9,9 @@ integer kernels that sum over one common denominator. The one-shot draws
 turn a whole stream into states with one `complex_normals` call, the way the
 sampler worked before it drew in blocks, so blocked draws can be compared
 with them bit for bit. The simplex integrals run through `scipy.integrate`,
-whose QUADPACK routines `subent.quadpack` ports.
+whose QUADPACK routines `subent.quadpack` ports. The entanglement of the
+maximally correlated embedding is bounded from both sides on the explicit
+m^2 x m^2 state, with entropies from the eigenvalues of the full matrices.
 """
 
 from __future__ import annotations
@@ -113,6 +115,50 @@ def subentropy_perturbation_oracle(values, deltas=(1e-6, 1e-7, 1e-8), dps: int =
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def von_neumann_entropy_full(matrix: np.ndarray) -> float:
+    """-Tr X ln X in nats, from the eigenvalues of the whole Hermitian matrix;
+    rounding-level negative eigenvalues count as zero."""
+    w = np.linalg.eigvalsh(matrix)
+    w = w[w > 0.0]
+    return float(-(w * np.log(w)).sum())
+
+
+def embed(rho) -> np.ndarray:
+    """The maximally correlated state chi = sum_ij rho_ij |ii><jj| on C^m (x) C^m,
+    as an m^2 x m^2 matrix with rows and columns ordered |ab> -> a m + b."""
+    entries = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    m = entries.shape[0]
+    chi = np.zeros((m * m, m * m), dtype=complex)
+    pairs = np.arange(m) * (m + 1)
+    chi[np.ix_(pairs, pairs)] = entries
+    return chi
+
+
+def coherent_information(chi: np.ndarray, m: int) -> float:
+    """S(Tr_A chi) - S(chi): by the hashing inequality, a lower bound on the
+    distillable entanglement of chi across A|B."""
+    marginal = np.einsum("abac->bc", chi.reshape(m, m, m, m))
+    return von_neumann_entropy_full(marginal) - von_neumann_entropy_full(chi)
+
+
+def dephased_relative_entropy(chi: np.ndarray, m: int) -> float:
+    """S(chi || Delta chi), Delta the dephasing onto span{|ii>}: an upper bound
+    on the relative entropy of entanglement of chi across A|B.
+
+    Delta chi = sum_i <ii|chi|ii> |ii><ii| is separable. If chi has weight
+    outside span{|ii>}, Delta loses trace, chi's support leaves Delta chi's
+    and the relative entropy is infinite. Otherwise Delta is a pinching on
+    chi's support, so Tr chi ln(Delta chi) = Tr (Delta chi) ln(Delta chi) and
+    the relative entropy is S(Delta chi) - S(chi).
+    """
+    pairs = np.arange(m) * (m + 1)
+    dephased = np.zeros_like(chi)
+    dephased[pairs, pairs] = chi[pairs, pairs]
+    if abs(np.trace(dephased).real - np.trace(chi).real) > 1e-12:
+        return math.inf
+    return von_neumann_entropy_full(dephased) - von_neumann_entropy_full(chi)
 
 
 def random_tied_spectrum(gen: np.random.Generator, m: int):

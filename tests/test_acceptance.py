@@ -22,7 +22,6 @@ from subent import (
     average_entropy_exact,
     average_subentropy_exact,
     average_subentropy_series,
-    cnot_embed,
     concentration_sweep,
     estimate_functional,
     gamma_ratio_sum_harmonic,
@@ -31,6 +30,7 @@ from subent import (
     induced_mixed_state,
     lipschitz_check,
     normalization_integral,
+    relative_entropy_coherence,
     riordan_identity_check,
     selberg_quadrature_oracle,
     spectrum_of,
@@ -273,33 +273,30 @@ def test_09_embedded_entanglement():
     start = time.time()
     problems = []
 
-    est = average_embedded_entanglement(3, 3, 20_000, seed=900)
+    est, _ = average_embedded_entanglement(3, 3, 20_000, seed=900)
     target = float(average_coherence_exact(3, 3))
     if abs(est.mean - target) > 5 * est.stderr:
         problems.append(("average", est.mean, target))
 
-    pairs = np.arange(3) * 4
-    mask = np.zeros((9, 9), dtype=bool)
-    mask[np.ix_(pairs, pairs)] = True
-    for trial in range(1000):
-        rho = induced_mixed_state(3, 3, RngStream(901, trial))
-        chi = cnot_embed(rho).embedded()
-        if np.abs(chi[np.ix_(pairs, pairs)] - rho.entries).max() > 1e-14:
-            problems.append(("embed-values", trial))
-            break
-        if np.abs(chi[~mask]).max() > 0.0:
-            problems.append(("embed-zeros", trial))
-            break
-        marginal = np.einsum("ijkj->ik", chi.reshape(3, 3, 3, 3))
-        if np.abs(marginal - np.diag(np.diagonal(rho.entries))).max() > 1e-12:
-            problems.append(("marginal", trial))
-            break
+    # the coherent information bounds E_D from below and S(chi || Delta chi)
+    # bounds E_R from above; both equal to the coherence pins E_D = E_R = C_r
+    worst = 0.0
+    for m in range(3, 17):
+        for n in range(m, m + 5):
+            rho = induced_mixed_state(m, n, RngStream(901, 100 * m + n))
+            chi = oracles.embed(rho)
+            coherence = relative_entropy_coherence(rho)
+            for bound in (oracles.coherent_information, oracles.dephased_relative_entropy):
+                deviation = abs(bound(chi, m) - coherence)
+                worst = max(worst, deviation)
+                if not deviation <= 1e-10:
+                    problems.append((bound.__name__, m, n, deviation))
 
     elapsed = time.time() - start
     _gate(
-        "09 embedded entanglement average and structure",
+        "09 embedded entanglement average and E_D, E_R bounds",
         not problems and elapsed < 60.0,
-        f"problems={problems[:2]} elapsed={elapsed:.1f}s",
+        f"problems={problems[:2]} worst={worst:.2g} elapsed={elapsed:.1f}s",
     )
 
 

@@ -173,6 +173,28 @@ class TestConcentration:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_sweep_mode_checks_eps(self, tmp_path):
+        # the manifest records --eps in both modes, so both modes check it
+        out = tmp_path / "x"
+        code = main(["concentration", "--m-range", "2..3", "--samples", "4", "--eps", "nonsense",
+                     "--workers", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["concentration", "--m-range", "2..3", "--m", "5", "--samples", "4"],
+    ["concentration", "--m-range", "2..3", "--n", "9", "--samples", "4"],
+    ["concentration", "--m-range", "2..3", "--m", "5", "--n", "9", "--samples", "4"],
+    ["formula", "--m-range", "2..3", "--m", "2", "--n", "4"],
+    ["formula", "--m", "2", "--n-range", "2..3", "--n", "4"],
+])
+def test_flag_a_range_replaces_is_usage_error(tmp_path, argv):
+    # the range decides every record, so a manifest holding the flag would misstate the run
+    out = tmp_path / "x"
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
 
 class TestOnePass:
     """One draw per chunk serves every reduction a command asks for, with the
@@ -334,6 +356,20 @@ class TestSettingsPrecedence:
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+
+    def test_workers_default_to_usable_cpus(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_run_ordered(fn, tasks, workers):
+            seen.append(workers)
+            return [fn(task) for task in tasks]
+
+        monkeypatch.delenv("SUBENT_WORKERS", raising=False)
+        monkeypatch.setattr("subent.cli.usable_cpus", lambda: 3)
+        monkeypatch.setattr("subent.cli.run_ordered", recording_run_ordered)
+        argv = ["identities", "--max-m", "2", "--max-n", "2", "--quadrature"]
+        assert main(argv + ["--out", str(tmp_path / "i.json")]) == EXIT_OK
+        assert seen == [3]
 
     def test_bad_env_worker_count_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUBENT_WORKERS", "many")

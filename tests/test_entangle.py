@@ -1,17 +1,26 @@
+"""The embedded-entanglement claim, computed on the explicit states.
+
+For chi = sum_ij rho_ij |ii><jj| the coherent information (a lower bound on
+the distillable entanglement) and the relative entropy to the dephased
+state (an upper bound on the relative entropy of entanglement) both equal
+the relative entropy of coherence of rho. As E_D <= E_R, that pins both
+measures to the coherence that `average_embedded_entanglement` averages.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from subent import (
     DensityMatrix,
     DomainError,
     RngStream,
     average_coherence_exact,
     average_embedded_entanglement,
-    cnot_embed,
-    entanglement_measures,
+    estimate_induced,
     induced_mixed_state,
     relative_entropy_coherence,
 )
@@ -25,27 +34,33 @@ def marginal_over_ancilla(chi: np.ndarray, m: int) -> np.ndarray:
     return np.einsum("ijkj->ik", chi.reshape(m, m, m, m))
 
 
+def bounds(rho: DensityMatrix) -> tuple[float, float]:
+    """(lower bound on E_D, upper bound on E_R) of the embedding of rho."""
+    chi = oracles.embed(rho)
+    return oracles.coherent_information(chi, rho.dim), oracles.dephased_relative_entropy(chi, rho.dim)
+
+
 class TestEmbedding:
     def test_plus_state_gives_bell_projector(self):
-        chi = cnot_embed(plus_state()).embedded()
+        chi = oracles.embed(plus_state())
         bell = np.zeros(4)
         bell[[0, 3]] = 1 / math.sqrt(2)
         assert_allclose(chi, np.outer(bell, bell), atol=1e-15)
 
     def test_diagonal_source_stays_classical(self):
-        chi = cnot_embed(DensityMatrix(np.diag([0.6, 0.4]))).embedded()
+        chi = oracles.embed(DensityMatrix(np.diag([0.6, 0.4])))
         assert_allclose(chi, np.diag([0.6, 0.0, 0.0, 0.4]), atol=1e-15)
 
     def test_trace_one(self):
         rho = induced_mixed_state(4, 4, RngStream(1))
-        chi = cnot_embed(rho).embedded()
+        chi = oracles.embed(rho)
         assert np.trace(chi).real == pytest.approx(1.0, abs=1e-12)
 
     def test_structure(self):
         for trial in range(40):
             m = 2 + trial % 4
             rho = induced_mixed_state(m, m + 1, RngStream(2, trial))
-            chi = cnot_embed(rho).embedded()
+            chi = oracles.embed(rho)
             nonzero = np.abs(chi) > 0
             assert nonzero.sum() <= m * m
             pairs = np.arange(m) * (m + 1)
@@ -56,66 +71,77 @@ class TestEmbedding:
 
     def test_marginal_is_dephased_source(self):
         rho = induced_mixed_state(3, 5, RngStream(3))
-        chi = cnot_embed(rho).embedded()
+        chi = oracles.embed(rho)
         assert_allclose(
             marginal_over_ancilla(chi, 3),
             np.diag(np.diagonal(rho.entries)),
             atol=1e-12,
         )
 
-    def test_lazy_materialization_cached(self):
-        state = cnot_embed(plus_state())
-        assert state._embedded is None
-        first = state.embedded()
-        assert state.embedded() is first
-
-    def test_rejects_scalar_source(self):
-        with pytest.raises(DomainError):
-            cnot_embed(DensityMatrix([[1.0]]))
-
 
 class TestMeasures:
     def test_equal_to_source_coherence(self):
-        rho = induced_mixed_state(4, 4, RngStream(4))
-        e_r, e_d = entanglement_measures(cnot_embed(rho))
-        expected = relative_entropy_coherence(rho)
-        assert e_r == expected and e_d == expected
+        # 70 induced sources, m = 3..16 and n = m..m+4: chi is up to 256 x 256
+        for m in range(3, 17):
+            for n in range(m, m + 5):
+                rho = induced_mixed_state(m, n, RngStream(4, 100 * m + n))
+                expected = relative_entropy_coherence(rho)
+                lower, upper = bounds(rho)
+                assert abs(lower - expected) <= 1e-10, (m, n)
+                assert abs(upper - expected) <= 1e-10, (m, n)
 
     def test_incoherent_source_gives_zero(self):
-        e_r, e_d = entanglement_measures(cnot_embed(DensityMatrix(np.eye(3) / 3)))
-        assert e_r == 0.0 and e_d == 0.0
+        lower, upper = bounds(DensityMatrix(np.eye(3) / 3))
+        assert abs(lower) <= 1e-12 and abs(upper) <= 1e-12
 
     def test_plus_state_gives_ln2(self):
-        e_r, e_d = entanglement_measures(cnot_embed(plus_state()))
-        assert e_r == pytest.approx(math.log(2), abs=1e-10)
+        lower, upper = bounds(plus_state())
+        assert lower == pytest.approx(math.log(2), abs=1e-10)
+        assert upper == pytest.approx(math.log(2), abs=1e-10)
 
     def test_range(self):
         for trial in range(20):
             m = 2 + trial % 5
             rho = induced_mixed_state(m, m + 2, RngStream(5, trial))
-            e_r, _ = entanglement_measures(cnot_embed(rho))
-            assert 0.0 <= e_r <= math.log(m) + 1e-12
+            lower, upper = bounds(rho)
+            assert -1e-12 <= lower <= upper + 1e-12 <= math.log(m) + 2e-12
 
     def test_diagonal_unitary_invariance(self):
         gen = RngStream(6).generator()
         rho = induced_mixed_state(4, 4, RngStream(6, 1))
         phases = np.exp(2j * np.pi * gen.random(4))
         rotated = DensityMatrix((phases[:, None] * rho.entries) * phases.conj()[None, :])
-        a, _ = entanglement_measures(cnot_embed(rho))
-        b, _ = entanglement_measures(cnot_embed(rotated))
-        assert a == pytest.approx(b, abs=1e-10)
+        assert_allclose(bounds(rho), bounds(rotated), atol=1e-10)
+
+    def test_product_embedding_is_not_entangled(self):
+        # rho on |i0><j0| is rho (x) |0><0|: its coherent information is -S(rho)
+        # and its support leaves span{|ii>}, so the gate above would fail on it
+        rho = induced_mixed_state(3, 3, RngStream(7))
+        chi = np.zeros((9, 9), dtype=complex)
+        chi[np.ix_([0, 3, 6], [0, 3, 6])] = rho.entries
+        entropy = oracles.von_neumann_entropy_full(rho.entries)
+        assert oracles.coherent_information(chi, 3) == pytest.approx(-entropy, abs=1e-12)
+        assert oracles.dephased_relative_entropy(chi, 3) == math.inf
 
 
 class TestAverage:
     def test_matches_coherence_average(self):
-        est = average_embedded_entanglement(3, 3, 20000, seed=7)
+        est, tails = average_embedded_entanglement(3, 3, 20000, seed=7)
         target = float(average_coherence_exact(3, 3))
         assert target == pytest.approx(1 / 3, abs=1e-15)
         assert abs(est.mean - target) <= 5 * est.stderr
+        assert tails == []
+
+    def test_is_the_coherence_draw(self):
+        # one result shape for a draw with tails: estimate_induced's own pair
+        kwargs = dict(chunk=128, epsilons=(0.05, 0.2))
+        est, tails = average_embedded_entanglement(3, 4, 700, seed=3, **kwargs)
+        estimates, expected_tails = estimate_induced(3, 4, 700, 3, ("coherence",), **kwargs)
+        assert (est, tails) == (estimates["coherence"], expected_tails)
 
     def test_deterministic_and_worker_invariant(self):
-        a = average_embedded_entanglement(3, 4, 2000, seed=8, workers=1)
-        b = average_embedded_entanglement(3, 4, 2000, seed=8, workers=2)
+        a, _ = average_embedded_entanglement(3, 4, 2000, seed=8, workers=1)
+        b, _ = average_embedded_entanglement(3, 4, 2000, seed=8, workers=2)
         assert (a.mean, a.variance, a.count) == (b.mean, b.variance, b.count)
 
     def test_rejects_small_dimension(self):

@@ -1,13 +1,17 @@
 """The package's public names, loaded on first access."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import subent
 
-# Every name `subent` exported before its exports became lazy, by the
-# submodule that defines it.
+# Every name `subent` exports, by the submodule that defines it.
 PUBLIC = {
     "closedform": [
         "ExactValue", "average_coherence_exact", "average_entropy_exact",
@@ -15,10 +19,7 @@ PUBLIC = {
         "harmonic", "isospectral_average_coherence", "levy_coherence_bound",
         "levy_coherence_bound_half", "normalization_integral", "selberg_integral",
     ],
-    "entangle": [
-        "EmbeddedAverage", "MaxCorrelatedState", "average_embedded_entanglement",
-        "cnot_embed", "entanglement_measures",
-    ],
+    "entangle": ["average_embedded_entanglement"],
     "errors": [
         "ConvergenceFailure", "DimensionMismatch", "DimensionOrder", "DomainError",
         "QuadratureFailure", "SingularSample", "SubentError",
@@ -67,3 +68,26 @@ def test_default_chunk_is_shared_with_montecarlo():
     from subent import montecarlo
 
     assert montecarlo.DEFAULT_CHUNK == subent.DEFAULT_CHUNK == 1024
+
+
+def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
+    # perfbench/inproc.py rebinds subent names from outside the package; a
+    # renamed or deleted one fails the traced commands, not the package's tests
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    commands = [
+        ["entangle", "--m", "3", "--n", "3", "--samples", "4", "--workers", "1"],
+        ["estimate", "--m", "3", "--n", "3", "--samples", "4", "--workers", "1"],
+        ["identities", "--max-m", "2", "--max-n", "2", "--workers", "1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "inproc.py"), "--trace", "1",
+         "--out-dir", str(tmp_path), "--commands", json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["returncodes"] == [0, 0, 0], proc.stderr
+    assert report["layers"]["entangle.calls"] == 1
