@@ -17,8 +17,7 @@ import sys
 import time
 
 # `montecarlo` and `entangle` (numpy, mpmath) are imported inside the commands
-# that draw samples, so `formula` and `identities` start without them; `pool`
-# imports `concurrent.futures` only when it starts a pool.
+# that draw samples, so `formula` and `identities` start without them.
 from . import DEFAULT_CHUNK, __version__, closedform, identities
 from .errors import SubentError
 from .pool import run_ordered, usable_cpus
@@ -553,13 +552,14 @@ def main(argv=None) -> int:
 
 def run() -> None:
     code = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The interpreter flushes stdout again at exit and would report that
-        # failure too; point the closed descriptor at devnull first.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass  # the reader stopped early; the records still decide the exit code
+    # Nothing is left to release once the records are flushed, so the process
+    # skips interpreter teardown (module and numpy/OpenBLAS finalization).
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -266,7 +266,7 @@ def concentration_sweep(
     """Sample spread of the coherence at n = m across a grid of dimensions.
 
     Every dimension is validated before any sample is drawn, and the chunks
-    of all dimensions share one worker pool.
+    of all dimensions share one set of workers.
     """
     ms = list(ms)
     if any(m < 2 for m in ms):

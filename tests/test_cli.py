@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -11,14 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from subent import closedform, estimate_functional
+from subent import closedform, estimate_functional, pool
 from subent.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _emit, _z_score, main
-from subent.pool import usable_cpus
 
 
 # The pooled-quadrature tests need two CPUs this process may use; below that
 # the CLI runs every task in one process.
-_CPUS = usable_cpus()
+_CPUS = pool.usable_cpus()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -435,10 +438,9 @@ class TestRecordsDecideExit:
         assert all(row["ok"] is (row["name"] == "selberg_simplex")
                    for row in rows if row["record"] == "quadrature")
         assert capfd.readouterr().err == ""
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    @pytest.mark.skipif(_CPUS < 2 or multiprocessing.get_all_start_methods()[0] != "fork",
-                        reason="needs two usable CPUs and forked workers")
+    @pytest.mark.skipif(_CPUS < 2 or not pool._FORKS, reason="needs two usable CPUs and forked workers")
     def test_quadrature_failure_in_worker_exits_two(self, tmp_path, monkeypatch, capfd):
         from subent import identities
 
@@ -457,7 +459,7 @@ class TestRecordsDecideExit:
         assert code == EXIT_NUMERICAL
         assert capfd.readouterr().err == "numerical failure: 1-D error estimate 1 above target\n"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 class TestFailurePaths:
@@ -661,14 +663,33 @@ def test_import_does_not_load_the_pool():
     assert _loaded("import subent.cli", ("concurrent", "multiprocessing")) == []
 
 
-@pytest.mark.skipif(_CPUS < 2, reason="needs two usable CPUs")
+_COUNT_FORKS = """
+import os
+from subent import cli
+parent, forks, fork, value = os.getpid(), [], os.fork, cli._quadrature_value
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+def in_child(task):
+    assert os.getpid() != parent, "integrated in the parent process"
+    return value(task)
+
+os.fork, cli._quadrature_value = counted_fork, in_child
+"""
+
+
+@pytest.mark.skipif(_CPUS < 2 or not pool._FORKS, reason="needs two usable CPUs and forked workers")
 def test_pooled_quadrature_does_not_load_numpy_or_mpmath(tmp_path):
     argv = ["identities", "--max-m", "3", "--max-n", "3", "--quadrature", "--workers", "2",
             "--out", str(tmp_path / "q.json")]
-    loaded = _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0",
-                     ("numpy", "mpmath", "concurrent"))
-    assert "concurrent.futures.process" in loaded  # the integrals ran on a pool
-    assert [k for k in loaded if k.split(".")[0] != "concurrent"] == []
+    # every integral ran in one of the two forked children, and no pool machinery was loaded
+    loaded = _loaded(_COUNT_FORKS + f"assert cli.main({argv!r}) == 0\nassert len(forks) == 2",
+                     ("numpy", "mpmath", "concurrent", "multiprocessing"))
+    assert loaded == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -705,6 +726,36 @@ def test_closed_pipe_keeps_exit_code(setup, argv, expected):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == expected
     assert err == b""
+
+
+def _mask_timestamps(text: str) -> str:
+    return re.sub(r'"(started|finished)":"[^"]*"', r'"\1":""', text)
+
+
+# The formula sweep writes 1.15 MB, more than any pipe buffer holds, so the
+# process exits only after its reader has taken every byte.
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--m", "4", "--n", "4", "--samples", "64", "--chunk", "8", "--workers", "2"],
+    ["formula", "--m-range", "1..40", "--n-range", "1..40"],
+], ids=["estimate", "formula"])
+def test_module_run_writes_what_main_writes(argv, capsys):
+    proc = subprocess.run([sys.executable, "-m", "subent"] + argv, capture_output=True,
+                          timeout=120, env=_source_env())
+    assert main(argv) == proc.returncode == EXIT_OK
+    assert proc.stderr == b""
+    assert _mask_timestamps(proc.stdout.decode("utf-8")) == _mask_timestamps(capsys.readouterr().out)
+
+
+def test_run_exit_code_is_the_records():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _BREAK_IDENTITY + "\nimport sys\nfrom subent.cli import run\n"
+         "sys.argv = ['subent', 'identities', '--max-m', '2', '--max-n', '2']\nrun()"],
+        capture_output=True, timeout=120, env=_source_env(),
+    )
+    assert proc.returncode == EXIT_VIOLATION
+    assert proc.stderr == b""
+    assert proc.stdout.count(b'"holds":false') == 3
 
 
 def test_main_returns_records_exit_code_on_broken_pipe(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -250,29 +251,22 @@ class TestPoolSize:
         "workers, cpus, expected",
         [(64, 3, [3]), (2, 3, [2]), (64, 16, [8]), (4, 1, [])],
     )
+    @pytest.mark.skipif(not pool._FORKS, reason="the tasks run in one process here")
     def test_capped_at_tasks_and_usable_cpus(self, monkeypatch, workers, cpus, expected):
-        # 8 chunks; the fake pool records its size and maps in-process
-        sizes = []
+        # 8 chunks; the spy counts the workers the runner really forks
+        forks, fork = [], os.fork
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        # the pool runner imports its executor only when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pool.os, "fork", counted_fork)
         monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         est = estimate_functional(2, 2, "coherence", 8 * 16, seed=3, chunk=16, workers=workers)
-        assert sizes == expected
+        assert ([len(forks)] if forks else []) == expected
         assert est == estimate_functional(2, 2, "coherence", 8 * 16, seed=3, chunk=16)
 
 
