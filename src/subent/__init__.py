@@ -18,22 +18,18 @@ _EXPORTS = {
         "average_entropy_exact",
         "average_subentropy_exact",
         "average_subentropy_series",
-        "digamma_integer_diff",
         "harmonic",
         "isospectral_average_coherence",
         "levy_coherence_bound",
         "levy_coherence_bound_half",
         "normalization_integral",
-        "selberg_integral",
     ),
     "entangle": ("average_embedded_entanglement",),
     "errors": (
         "ConvergenceFailure",
-        "DimensionMismatch",
         "DimensionOrder",
         "DomainError",
         "QuadratureFailure",
-        "SingularSample",
         "SubentError",
     ),
     "identities": (
@@ -46,40 +42,21 @@ _EXPORTS = {
     ),
     "montecarlo": (
         "ConcentrationRow",
-        "LipschitzReport",
         "MonteCarloEstimate",
         "TailReport",
         "concentration_sweep",
         "estimate_functional",
         "estimate_induced",
-        "estimate_isospectral_coherence",
-        "lipschitz_check",
         "tail_experiment",
     ),
     "qcore": (
         "EULER_GAMMA",
         "SUBENTROPY_MAX",
-        "DensityMatrix",
-        "Functionals",
-        "PureState",
         "Spectrum",
-        "dephase",
-        "functionals",
-        "partial_trace",
-        "relative_entropy_coherence",
-        "spectrum_of",
         "subentropy",
         "von_neumann_entropy",
     ),
-    "sampling": (
-        "RngStream",
-        "UnitaryMatrix",
-        "ginibre",
-        "haar_pure_state",
-        "haar_unitary",
-        "induced_mixed_state",
-        "isospectral_state",
-    ),
+    "sampling": ("RngStream",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

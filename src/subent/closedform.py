@@ -40,45 +40,6 @@ def harmonic(k: int) -> Fraction:
     return _harmonics[k]
 
 
-def digamma_integer_diff(a: int, b: int) -> Fraction:
-    """psi(a) - psi(b) at positive integers: H_{a-1} - H_{b-1}, exactly."""
-    if a < 1 or b < 1:
-        raise DomainError("digamma differences need positive integer arguments")
-    return harmonic(a - 1) - harmonic(b - 1)
-
-
-def _selberg_domain(m: int, alpha: float, beta: float, gamma: float) -> None:
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("alpha and beta must have positive real part")
-    bound = 1.0 / m
-    if m > 1:
-        bound = min(bound, alpha / (m - 1), beta / (m - 1))
-    if gamma <= -bound:
-        raise DomainError(f"gamma={gamma:g} outside the convergence region")
-
-
-def selberg_integral_log(m: int, alpha: float, beta: float, gamma: float) -> float:
-    """log of the m-dimensional Selberg integral S_m(alpha, beta, gamma)."""
-    _selberg_domain(m, alpha, beta, gamma)
-    total = 0.0
-    for j in range(1, m + 1):
-        total += (
-            math.lgamma(alpha + gamma * (j - 1))
-            + math.lgamma(beta + gamma * (j - 1))
-            + math.lgamma(1 + gamma * j)
-            - math.lgamma(alpha + beta + gamma * (m + j - 2))
-            - math.lgamma(1 + gamma)
-        )
-    return total
-
-
-def selberg_integral(m: int, alpha: float, beta: float, gamma: float) -> float:
-    """The Selberg integral over [0,1]^m of prod x^(a-1) (1-x)^(b-1) |Vandermonde|^(2g)."""
-    return math.exp(selberg_integral_log(m, alpha, beta, gamma))
-
-
 def normalization_integral_log(m: int, alpha: float, gamma: float) -> float:
     """log of the trace-constrained eigenvalue integral whose reciprocal normalizes the measure."""
     if m < 1:

@@ -5,10 +5,6 @@ class SubentError(Exception):
     """Base class for all package-specific failures."""
 
 
-class DimensionMismatch(SubentError):
-    """A bipartite split does not match the vector it is applied to."""
-
-
 class DimensionOrder(SubentError):
     """System dimension m exceeds ancilla dimension n where m <= n is required."""
 
@@ -19,10 +15,6 @@ class DomainError(SubentError):
 
 class ConvergenceFailure(SubentError):
     """An iterative eigensolver exceeded its budget or returned garbage."""
-
-
-class SingularSample(SubentError):
-    """A probability-zero singular draw; it is never redrawn, since that would bias the measure."""
 
 
 class QuadratureFailure(SubentError):

@@ -1,12 +1,16 @@
-"""Chunked, reproducible Monte Carlo estimation of the spectral functionals.
+"""Chunked, reproducible Monte Carlo estimation of the spectral functionals
+of induced-measure random states: their averages, the coherence tail
+fractions against the concentration bound, and the square-dimension
+concentration sweep.
 
 Samples are drawn in fixed-size chunks, chunk i from RngStream(seed, i),
 and the per-chunk summaries are merged in chunk order. Results therefore
 depend only on (seed, chunk size, sample count) and never on how many
 workers executed the chunks. Within a chunk the states arrive in the
 cache-sized blocks of `sampling`; only per-sample rows (spectra, diagonals,
-functional values) are kept for the whole chunk. A failed sample aborts the
-whole run; nothing is resampled, since that would bias the measure.
+functional values) are kept for the whole chunk, and a chunk too large to
+allocate them is a DomainError. A failed sample aborts the whole run;
+nothing is resampled, since that would bias the measure.
 """
 
 from __future__ import annotations
@@ -20,13 +24,11 @@ from . import DEFAULT_CHUNK
 from .closedform import _check_pair, levy_coherence_bound
 from .errors import ConvergenceFailure, DomainError
 from .pool import run_ordered
-from .qcore import Spectrum, entropy_values, subentropy_values
+from .qcore import entropy_values, subentropy_values
 # complex_normals is not called here; perfbench/inproc.py reads it from this module.
-from .sampling import RngStream, complex_normals, haar_blocks, induced_blocks, pure_blocks  # noqa: F401
+from .sampling import RngStream, complex_normals, induced_blocks  # noqa: F401
 
 FUNCTIONALS = ("entropy", "subentropy", "coherence")
-LIPSCHITZ_FUNCTIONALS = ("coherence", "dephased_entropy", "entropy")
-_MIN_PAIR_DISTANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,6 @@ class ConcentrationRow:
     target: float
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Largest observed difference quotient over random pure-state pairs."""
-
-    max_ratio: float
-    evaluated: int
-    skipped: int
-
-
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
     if chunk < 1:
         raise DomainError("chunk size must be positive")
@@ -147,7 +140,10 @@ def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
     """Summaries of the functionals in `which` and, per epsilon, the number of
     coherence samples farther than it from the center, all from one draw."""
     m, n, which, epsilons, seed, index, size = task
-    lams, diag = np.empty((size, m)), np.empty((size, m))
+    try:
+        lams, diag = np.empty((size, m)), np.empty((size, m))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array size
+        raise DomainError(f"a chunk of {size} samples is too large to allocate: {exc}") from exc
     stop = 0
     for rho in induced_blocks(m, n, RngStream(seed, index), size):
         start, stop = stop, stop + len(rho)
@@ -214,34 +210,6 @@ def estimate_functional(
     return estimates[which]
 
 
-def _isospectral_chunk(task) -> MonteCarloEstimate:
-    values, seed, index, size = task
-    lam = np.asarray(values, dtype=float)
-    blocks = haar_blocks(lam.size, RngStream(seed, index), size)
-    diag = np.concatenate([np.abs(u) ** 2 @ lam for u in blocks])
-    base = float(entropy_values(lam[None, :])[0])
-    return MonteCarloEstimate.from_samples(np.maximum(entropy_values(diag) - base, 0.0))
-
-
-def estimate_isospectral_coherence(
-    spec: Spectrum,
-    samples: int,
-    seed: int,
-    chunk: int = DEFAULT_CHUNK,
-    workers: int = 1,
-) -> MonteCarloEstimate:
-    """Average coherence of U diag(spec) U^H over Haar-random U.
-
-    The spectrum is held fixed, so each sample only needs the diagonal of
-    the rotated state; the subtracted entropy is that of the spectrum itself.
-    """
-    if samples < 2:
-        raise DomainError("need at least two samples")
-    values = tuple(float(v) for v in spec.values)
-    tasks = _tasks((values,), seed, samples, chunk)
-    return _merge(_run_ordered(_isospectral_chunk, tasks, workers))
-
-
 def tail_experiment(
     m: int,
     n: int,
@@ -283,69 +251,3 @@ def concentration_sweep(
             ConcentrationRow(m, est.mean, est.stddev, est.stderr, est.count, (m - 1) / (2 * m))
         )
     return rows
-
-
-def _pure_pair_values(states: np.ndarray, m: int, n: int, which: str) -> np.ndarray:
-    mats = states.reshape(-1, m, n)
-    diag = np.square(np.abs(mats)).sum(axis=2)
-    if which == "dephased_entropy":
-        return entropy_values(diag)
-    rho = mats @ np.conjugate(np.swapaxes(mats, 1, 2))
-    lams = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    if which == "entropy":
-        return entropy_values(lams)
-    return entropy_values(diag) - entropy_values(lams)
-
-
-def _lipschitz_ratios(psi, phi, m, n, which):
-    distance = np.linalg.norm(psi - phi, axis=1)
-    keep = distance >= _MIN_PAIR_DISTANCE
-    skipped = int((~keep).sum())
-    if not keep.any():
-        return np.empty(0), skipped
-    f = _pure_pair_values(psi[keep], m, n, which)
-    g = _pure_pair_values(phi[keep], m, n, which)
-    return np.abs(f - g) / distance[keep], skipped
-
-
-def _lipschitz_chunk(task):
-    m, n, which, seed, index, size = task
-    parts, skipped = [], 0
-    for pairs in pure_blocks((2, m * n), RngStream(seed, index), size):
-        ratios, dropped = _lipschitz_ratios(pairs[:, 0, :], pairs[:, 1, :], m, n, which)
-        parts.append(ratios)
-        skipped += dropped
-    ratios = np.concatenate(parts)
-    peak = float(ratios.max()) if ratios.size else 0.0
-    return peak, int(ratios.size), skipped
-
-
-def lipschitz_check(
-    m: int,
-    n: int,
-    pairs: int,
-    seed: int,
-    which: str = "coherence",
-    chunk: int = DEFAULT_CHUNK,
-    workers: int = 1,
-) -> LipschitzReport:
-    """Max |F(psi) - F(phi)| / ||psi - phi|| over random pure-state pairs.
-
-    F maps a bipartite pure state to a functional of its m-dimensional
-    marginal: its coherence, the entropy of its diagonal, or its entropy.
-    Pairs closer than 1e-8 are skipped as ill-conditioned and counted.
-    """
-    if m < 3:
-        raise DomainError("the Lipschitz bound is stated for m >= 3")
-    _check_pair(m, n)
-    if which not in LIPSCHITZ_FUNCTIONALS:
-        raise DomainError(f"which must be one of {LIPSCHITZ_FUNCTIONALS}")
-    if pairs < 1:
-        raise DomainError("need at least one pair")
-    tasks = _tasks((m, n, which), seed, pairs, chunk)
-    peak, evaluated, skipped = 0.0, 0, 0
-    for part_peak, part_evaluated, part_skipped in _run_ordered(_lipschitz_chunk, tasks, workers):
-        peak = max(peak, part_peak)
-        evaluated += part_evaluated
-        skipped += part_skipped
-    return LipschitzReport(peak, evaluated, skipped)

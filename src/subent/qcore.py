@@ -1,19 +1,17 @@
-"""Core state types and the spectral functionals defined on them.
+"""Spectra and the spectral functionals evaluated on them.
 
-Everything here is a pure function of immutable value objects: spectra,
-density matrices and pure states validate their invariants once, freeze
-their storage, and are then safe to share between concurrent workers.
-All entropic quantities are in nats.
+`Spectrum` validates one eigenvalue vector once and freezes it. The
+functionals work row-wise on (N, m) arrays of eigenvalues or diagonals,
+which is how the Monte Carlo chunks call them; `von_neumann_entropy` and
+`subentropy` are their one-row forms on a `Spectrum`. All entropic
+quantities are in nats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConvergenceFailure, DimensionMismatch
 
 EULER_GAMMA = 0.577215664901532860606512090082
 #: Largest possible subentropy, attained in the infinite-dimensional
@@ -21,10 +19,7 @@ EULER_GAMMA = 0.577215664901532860606512090082
 SUBENTROPY_MAX = 1.0 - EULER_GAMMA
 
 _VALUE_FLOOR = -1e-12        # eigenvalues below this are rejected outright
-_EIGENSOLVE_FLOOR = -1e-10   # noise tolerance for freshly solved eigenvalues
 _SUM_TOL = 1e-9
-_HERMITIAN_TOL = 1e-12
-_NORM_TOL = 1e-12
 _CONFLUENCE_REL = 1e-8       # relative gap below which a row of Q takes the integral form
 _PROBE_TOL = 1e-11           # x^m probe deviation that sends a row to the scalar table
 _INTEGRAL_STEP = 0.3         # trapezoid step in u = ln t for the integral form of Q
@@ -63,69 +58,6 @@ class Spectrum:
 
     def __repr__(self) -> str:
         return f"Spectrum({self.values.tolist()!r})"
-
-
-class DensityMatrix:
-    """Square complex matrix that is Hermitian, PSD and unit-trace to tolerance."""
-
-    __slots__ = ("entries", "dim")
-
-    def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValueError("density matrix must be a nonempty square matrix")
-        if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL:
-            raise ValueError("matrix is not Hermitian to 1e-12")
-        tr = complex(a.trace())
-        if abs(tr.imag) > _SUM_TOL or abs(tr.real - 1.0) > _SUM_TOL:
-            raise ValueError(f"trace {tr:.12g} is not 1 to 1e-9")
-        try:
-            low = float(np.linalg.eigvalsh(a).min())
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure("eigensolver failed while validating a state") from exc
-        if low < _EIGENSOLVE_FLOOR:
-            raise ValueError(f"matrix has eigenvalue {low:.6g} < -1e-10")
-        a.flags.writeable = False
-        self.entries = a
-        self.dim = a.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
-
-
-class PureState:
-    """Unit-norm complex amplitude vector."""
-
-    __slots__ = ("amplitudes", "dim")
-
-    def __init__(self, amplitudes) -> None:
-        v = np.array(amplitudes, dtype=complex).ravel()
-        if v.size == 0:
-            raise ValueError("a pure state needs at least one amplitude")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {norm:.15g} is not 1 to 1e-12")
-        v.flags.writeable = False
-        self.amplitudes = v
-        self.dim = v.size
-
-    def __repr__(self) -> str:
-        return f"PureState(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class Functionals:
-    """Entropy, subentropy and relative entropy of coherence of one state."""
-
-    entropy: float
-    subentropy: float
-    coherence: float
-
-    def __post_init__(self) -> None:
-        if min(self.entropy, self.subentropy, self.coherence) < 0.0:
-            raise ValueError("spectral functionals must be nonnegative")
-        if self.subentropy > SUBENTROPY_MAX + 1e-9:
-            raise ValueError(f"subentropy {self.subentropy:.12g} exceeds 1 - gamma")
 
 
 def von_neumann_entropy(spec: Spectrum) -> float:
@@ -332,50 +264,3 @@ def _subentropy_integral(z: np.ndarray) -> np.ndarray:
     for column in z.T:
         b += np.log1p(column[:, None] / t)
     return _INTEGRAL_STEP * (-np.exp(-a) * np.expm1(a - b) * t).sum(axis=1)
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Zero every off-diagonal entry in the fixed computational basis."""
-    return DensityMatrix(np.diag(np.diagonal(rho.entries)))
-
-
-def relative_entropy_coherence(rho: DensityMatrix) -> float:
-    """S(diag(rho)) - S(rho) in nats, clamped to zero from below."""
-    diagonal = Spectrum(np.real(np.diagonal(rho.entries)))
-    gain = von_neumann_entropy(diagonal) - von_neumann_entropy(spectrum_of(rho))
-    return max(0.0, gain)
-
-
-def spectrum_of(rho: DensityMatrix) -> Spectrum:
-    """Eigenvalues of rho as a Spectrum, with a residual check on every pair."""
-    try:
-        w, v = np.linalg.eigh(rho.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure("eigendecomposition did not converge") from exc
-    residual = np.linalg.norm(rho.entries @ v - v * w, axis=0).max()
-    if residual > 1e-10 * rho.dim:
-        raise ConvergenceFailure(f"eigenpair residual {residual:.3g} exceeds 1e-10 m")
-    if w.min() < _EIGENSOLVE_FLOOR:
-        raise ConvergenceFailure(f"eigensolver returned {w.min():.6g} < -1e-10")
-    return Spectrum(np.clip(w, 0.0, None))
-
-
-def partial_trace(psi: PureState, m: int, n: int) -> DensityMatrix:
-    """Trace out the n-dimensional second factor of a row-major bipartite state."""
-    if psi.dim != m * n:
-        raise DimensionMismatch(f"state dimension {psi.dim} is not {m} * {n}")
-    mat = psi.amplitudes.reshape(m, n)
-    rho = mat @ mat.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho)
-
-
-def functionals(rho: DensityMatrix) -> Functionals:
-    """Bundle S, Q and the coherence of one state into a Functionals record."""
-    spec = spectrum_of(rho)
-    entropy = von_neumann_entropy(spec)
-    dephased = von_neumann_entropy(Spectrum(np.real(np.diagonal(rho.entries))))
-    coherence = dephased - entropy
-    if coherence < -1e-9:
-        raise ConvergenceFailure(f"dephasing lowered the entropy by {-coherence:.3g}")
-    return Functionals(entropy, subentropy(spec), max(0.0, coherence))

@@ -12,9 +12,15 @@ from fractions import Fraction
 import numpy as np
 
 import oracles
+from reference import (
+    DensityMatrix,
+    induced_mixed_state,
+    lipschitz_check,
+    relative_entropy_coherence,
+    spectrum_of,
+)
 from subent import (
     EULER_GAMMA,
-    DensityMatrix,
     RngStream,
     Spectrum,
     average_coherence_exact,
@@ -27,13 +33,9 @@ from subent import (
     gamma_ratio_sum_harmonic,
     gamma_ratio_sum_plain,
     harmonic,
-    induced_mixed_state,
-    lipschitz_check,
     normalization_integral,
-    relative_entropy_coherence,
     riordan_identity_check,
     selberg_quadrature_oracle,
-    spectrum_of,
     subentropy,
     tail_experiment,
 )

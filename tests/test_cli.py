@@ -485,6 +485,24 @@ class TestFailurePaths:
         assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
         assert out.read_text(encoding="utf-8") == "kept\n"  # a failed run writes nothing
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("samples, chunk", [(10**17, 10**16), (10**20, 10**18)])
+    def test_chunk_too_large_to_allocate_exits_two(self, tmp_path, capsys, samples, chunk,
+                                                   workers):
+        # (10**16, 3) floats exceed a 47-bit address space and (10**18, 3) floats
+        # numpy's largest array, so neither allocation touches memory
+        out = tmp_path / "c.json"
+        code = main(["estimate", "--m", "3", "--n", "3", "--samples", str(samples),
+                     "--chunk", str(chunk), "--workers", workers, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"numerical failure: a chunk of {chunk} samples ")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestJsonRecords:
     def test_non_finite_fields_written_as_null(self):

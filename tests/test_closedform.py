@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import oracles
+from reference import digamma_integer_diff, selberg_integral
 from subent import (
     DimensionOrder,
     DomainError,
@@ -14,13 +15,11 @@ from subent import (
     average_entropy_exact,
     average_subentropy_exact,
     average_subentropy_series,
-    digamma_integer_diff,
     harmonic,
     isospectral_average_coherence,
     levy_coherence_bound,
     levy_coherence_bound_half,
     normalization_integral,
-    selberg_integral,
     subentropy,
     von_neumann_entropy,
 )

@@ -14,15 +14,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from reference import DensityMatrix, induced_mixed_state, relative_entropy_coherence
 from subent import (
-    DensityMatrix,
     DomainError,
     RngStream,
     average_coherence_exact,
     average_embedded_entanglement,
     estimate_induced,
-    induced_mixed_state,
-    relative_entropy_coherence,
 )
 
 

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 import oracles
+from reference import (
+    _isospectral_chunk,
+    _lipschitz_chunk,
+    _lipschitz_ratios,
+    estimate_isospectral_coherence,
+    haar_blocks,
+    lipschitz_check,
+    pure_blocks,
+)
 from subent import (
     ConvergenceFailure,
     DimensionOrder,
@@ -19,23 +28,14 @@ from subent import (
     concentration_sweep,
     estimate_functional,
     estimate_induced,
-    estimate_isospectral_coherence,
     harmonic,
     isospectral_average_coherence,
-    lipschitz_check,
     tail_experiment,
 )
 from subent import montecarlo, pool
-from subent.montecarlo import (
-    FUNCTIONALS,
-    TailReport,
-    _induced_chunk,
-    _isospectral_chunk,
-    _lipschitz_chunk,
-    _lipschitz_ratios,
-)
+from subent.montecarlo import FUNCTIONALS, TailReport, _induced_chunk
 from subent.qcore import entropy_values
-from subent.sampling import complex_normals, haar_blocks, induced_blocks, pure_blocks
+from subent.sampling import complex_normals, induced_blocks
 
 
 class TestMonteCarloEstimate:

@@ -15,32 +15,38 @@ import subent
 PUBLIC = {
     "closedform": [
         "ExactValue", "average_coherence_exact", "average_entropy_exact",
-        "average_subentropy_exact", "average_subentropy_series", "digamma_integer_diff",
-        "harmonic", "isospectral_average_coherence", "levy_coherence_bound",
-        "levy_coherence_bound_half", "normalization_integral", "selberg_integral",
+        "average_subentropy_exact", "average_subentropy_series", "harmonic",
+        "isospectral_average_coherence", "levy_coherence_bound", "levy_coherence_bound_half",
+        "normalization_integral",
     ],
     "entangle": ["average_embedded_entanglement"],
-    "errors": [
-        "ConvergenceFailure", "DimensionMismatch", "DimensionOrder", "DomainError",
-        "QuadratureFailure", "SingularSample", "SubentError",
-    ],
+    "errors": ["ConvergenceFailure", "DimensionOrder", "DomainError", "QuadratureFailure",
+               "SubentError"],
     "identities": [
         "IdentityReport", "aomoto_quadrature_oracle", "gamma_ratio_sum_harmonic",
         "gamma_ratio_sum_plain", "riordan_identity_check", "selberg_quadrature_oracle",
     ],
     "montecarlo": [
-        "ConcentrationRow", "LipschitzReport", "MonteCarloEstimate", "TailReport",
-        "concentration_sweep", "estimate_functional", "estimate_induced",
-        "estimate_isospectral_coherence", "lipschitz_check", "tail_experiment",
+        "ConcentrationRow", "MonteCarloEstimate", "TailReport", "concentration_sweep",
+        "estimate_functional", "estimate_induced", "tail_experiment",
     ],
+    "qcore": ["EULER_GAMMA", "SUBENTROPY_MAX", "Spectrum", "subentropy", "von_neumann_entropy"],
+    "sampling": ["RngStream"],
+}
+
+# Names only the tests use, now in tests/reference.py, by the submodule that
+# exported them.
+TEST_ONLY = {
+    "closedform": ["digamma_integer_diff", "selberg_integral"],
+    "errors": ["DimensionMismatch", "SingularSample"],
+    "montecarlo": ["LipschitzReport", "estimate_isospectral_coherence", "lipschitz_check"],
     "qcore": [
-        "EULER_GAMMA", "SUBENTROPY_MAX", "DensityMatrix", "Functionals", "PureState",
-        "Spectrum", "dephase", "functionals", "partial_trace", "relative_entropy_coherence",
-        "spectrum_of", "subentropy", "von_neumann_entropy",
+        "DensityMatrix", "Functionals", "PureState", "dephase", "functionals", "partial_trace",
+        "relative_entropy_coherence", "spectrum_of",
     ],
     "sampling": [
-        "RngStream", "UnitaryMatrix", "ginibre", "haar_pure_state", "haar_unitary",
-        "induced_mixed_state", "isospectral_state",
+        "UnitaryMatrix", "ginibre", "haar_pure_state", "haar_unitary", "induced_mixed_state",
+        "isospectral_state",
     ],
 }
 
@@ -51,6 +57,35 @@ def test_public_name_is_the_submodule_object(module, name):
     assert getattr(subent, name) is getattr(importlib.import_module(f"subent.{module}"), name)
     assert name in dir(subent)
     assert name in subent.__all__
+
+
+def test_all_is_the_public_table():
+    assert sorted(subent.__all__) == sorted(name for names in PUBLIC.values() for name in names)
+
+
+@pytest.mark.parametrize("module, name",
+                         [(module, name) for module, names in TEST_ONLY.items() for name in names])
+def test_test_only_name_is_not_in_the_package(module, name):
+    assert not hasattr(subent, name)
+    assert name not in subent.__all__
+    assert name not in dir(subent)
+    assert not hasattr(importlib.import_module(f"subent.{module}"), name)
+
+
+def test_montecarlo_binds_no_other_sampler():
+    code = (
+        "import sys, subent.montecarlo as mc\n"
+        "print(hasattr(mc, 'haar_blocks'), hasattr(mc, 'pure_blocks'),\n"
+        "      sorted(k for k in sys.modules if k.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "[]"]
 
 
 def test_unknown_name_is_attribute_error():

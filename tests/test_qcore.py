@@ -8,21 +8,24 @@ from numpy.testing import assert_allclose
 import mpmath as mp
 import oracles
 from mpmath import libmp
-from subent import (
-    EULER_GAMMA,
-    SUBENTROPY_MAX,
+from reference import (
     DensityMatrix,
     DimensionMismatch,
     Functionals,
     PureState,
-    RngStream,
-    Spectrum,
     dephase,
+    draw_induced,
     functionals,
     induced_mixed_state,
     partial_trace,
     relative_entropy_coherence,
     spectrum_of,
+)
+from subent import (
+    EULER_GAMMA,
+    SUBENTROPY_MAX,
+    RngStream,
+    Spectrum,
     subentropy,
     von_neumann_entropy,
 )
@@ -35,7 +38,6 @@ from subent.qcore import (
     entropy_values,
     subentropy_values,
 )
-from subent.sampling import draw_induced
 
 
 def spec(*values) -> Spectrum:

