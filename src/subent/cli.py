@@ -50,55 +50,84 @@ def _fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value) if math.isfinite(value) else "null"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        body = ",".join(f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in value.items())
-        return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps makes of a str
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
+class _JsonKeys(dict):
+    """'"key":' for each key of one stream, encoded on first use."""
+
+    def __missing__(self, key) -> str:
+        text = self[key] = _escape(str(key)) + ":"
+        return text
+
+
+def _json_value(value, keys: _JsonKeys) -> str:
+    encode = _JSON_ENCODERS.get(type(value))
+    if encode is None:  # a subclass, such as a numpy float
+        encode = next((f for kind, f in _JSON_ENCODERS.items() if isinstance(value, kind)), None)
+        if encode is None:
+            raise TypeError(f"cannot serialize {type(value)!r}")
+    return encode(value, keys)
+
+
+def _json_object(value: dict, keys: _JsonKeys) -> str:
+    return "{" + ",".join([keys[k] + _json_value(v, keys) for k, v in value.items()]) + "}"
+
+
+def _json_array(value, keys: _JsonKeys) -> str:
+    return "[" + ",".join([_json_value(v, keys) for v in value]) + "]"
+
+
+# by exact type; the order is the isinstance order for subclasses (bool before int)
+_JSON_ENCODERS = {
+    type(None): lambda value, keys: "null",
+    bool: lambda value, keys: "true" if value else "false",
+    float: lambda value, keys: _fmt_float(value) if math.isfinite(value) else "null",
+    int: lambda value, keys: str(value),
+    str: lambda value, keys: _escape(value),
+    dict: _json_object,
+    list: _json_array,
+    tuple: _json_array,
+}
+
+
+def _csv_text(value) -> str:
     text = str(value)
-    if any(ch in text for ch in ",\"\n"):
+    if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
+_CSV_ENCODERS = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    float: _fmt_float,
+    int: str,
+    str: _csv_text,
+}
+
+
+def _csv_cell(value) -> str:
+    encode = _CSV_ENCODERS.get(type(value))
+    if encode is None:  # a subclass, or any other value written as its str
+        encode = next((f for kind, f in _CSV_ENCODERS.items() if isinstance(value, kind)),
+                      _csv_text)
+    return encode(value)
+
+
 def _emit(stream, manifest: dict, rows: list[dict], fmt: str) -> None:
+    """Write the manifest, then one line per record; each key is encoded once."""
+    keys, write = _JsonKeys(), stream.write
     if fmt == "json":
-        stream.write(_json_value(manifest) + "\n")
+        write(_json_value(manifest, keys) + "\n")
         for row in rows:
-            stream.write(_json_value(row) + "\n")
+            write(_json_value(row, keys) + "\n")
         return
-    stream.write("# manifest: " + _json_value(manifest) + "\n")
-    fields: list[str] = []
+    write("# manifest: " + _json_value(manifest, keys) + "\n")
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    write(",".join(fields) + "\n")
     for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    stream.write(",".join(fields) + "\n")
-    for row in rows:
-        stream.write(",".join(_csv_cell(row.get(key)) for key in fields) + "\n")
+        write(",".join([_csv_cell(row.get(key)) for key in fields]) + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -248,31 +277,50 @@ def _cmd_formula(args, settings) -> list[dict]:
     else:
         _check_pair(args, "formula (without ranges)", 1)
         pairs = [(args.m, args.n)]
+    # Every average is an integer numerator over the harmonic table's one
+    # denominator L (2nL for the entropy); each printed value is reduced once.
+    a, den = closedform.harmonic_numerators(max(m * n for m, n in pairs))
     rows = []
     for m, n in pairs:
-        sub = closedform.average_subentropy_exact(m, n)
-        ent = closedform.average_entropy_exact(m, n)
-        coh = closedform.average_coherence_exact(m, n)
-        series = closedform.average_subentropy_series(m, n - m + 1)
-        assembly = (closedform.harmonic(m) - 1) + sub - ent - coh
+        mn, twice_n = m * n, 2 * n
+        sub = den + a[mn] - a[m] - a[n]
+        ent = twice_n * (a[mn] - a[n]) - (m - 1) * den
+        series = closedform.subentropy_series_numerator(m, n, a)  # over mn L
+        series_residual = series - mn * sub
+        # (H_m - 1) + sub - ent - coh over 2nL; coh = (m-1)/(2n) is (m-1)L there
+        consistency = twice_n * (a[m] - den + sub) - ent - (m - 1) * den
+        sub_text, sub_float = _reduced(sub, den)
+        ent_text, ent_float = _reduced(ent, twice_n * den)
+        coh_text, coh_float = _reduced(m - 1, twice_n)
+        if series_residual:
+            series_text, series_float = _reduced(series, mn * den)
+        else:
+            series_text, series_float = sub_text, sub_float
         rows.append(
             {
                 "record": "formula",
                 "m": m,
                 "n": n,
-                "avg_subentropy": str(sub),
-                "avg_subentropy_float": float(sub),
-                "avg_entropy": str(ent),
-                "avg_entropy_float": float(ent),
-                "avg_coherence": str(coh),
-                "avg_coherence_float": float(coh),
-                "series": str(series.exact),
-                "series_float": series.approx,
-                "series_residual": str(series.exact - sub),
-                "consistency_residual": str(assembly),
+                "avg_subentropy": sub_text,
+                "avg_subentropy_float": sub_float,
+                "avg_entropy": ent_text,
+                "avg_entropy_float": ent_float,
+                "avg_coherence": coh_text,
+                "avg_coherence_float": coh_float,
+                "series": series_text,
+                "series_float": series_float,
+                "series_residual": _reduced(series_residual, mn * den)[0],
+                "consistency_residual": _reduced(consistency, twice_n * den)[0],
             }
         )
     return rows
+
+
+def _reduced(numerator: int, denominator: int) -> tuple[str, float]:
+    """numerator / denominator as `str(Fraction)` writes it ("0" for zero), and as a float."""
+    g = math.gcd(numerator, denominator)
+    p, q = numerator // g, denominator // g
+    return (str(p) if q == 1 else f"{p}/{q}"), p / q
 
 
 _TARGETS = {
@@ -343,56 +391,63 @@ def _cmd_identities(args, settings) -> list[dict]:
     if args.max_m > args.max_n:
         # every pair has m <= n, so m above --max-n would be dropped unchecked
         raise UsageError("--max-m must not exceed --max-n")
-    rows: list[dict] = []
-    for m in range(1, args.max_m + 1):
-        for n in range(m, args.max_n + 1):
-            for report in (
-                identities.gamma_ratio_sum_plain(m, n),
-                identities.gamma_ratio_sum_harmonic(m, n),
-                identities.riordan_identity_check(m, n),
-            ):
-                rows.append(
-                    {
-                        "record": "identity",
-                        "name": report.name,
-                        "m": m,
-                        "n": n,
-                        "lhs": str(report.lhs),
-                        "rhs": str(report.rhs),
-                        "holds": report.holds,
-                    }
-                )
-    if args.quadrature:
-        # (m, k, alpha); k None is the Selberg normalization, k >= 1 an Aomoto moment
-        tasks = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
-                 for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))]
-        values = run_ordered(_quadrature_value, tasks, settings["workers"])
-        for (m, k, alpha), value in zip(tasks, values):
-            if k is None:
-                name, closed = "selberg_simplex", closedform.normalization_integral(m, alpha, 1.0)
-            else:
-                name, closed = "aomoto_moment", identities.aomoto_moment_closed(m, k, alpha)
-            tolerance = identities.QUADRATURE_TARGETS[m]
-            rel = abs(value - closed) / abs(closed)
-            rows.append(
-                {
-                    "record": "quadrature",
-                    "name": name,
-                    "m": m,
-                    "k": k,
-                    "alpha": alpha,
-                    "value": value,
-                    "closed_form": closed,
-                    "rel_error": rel,
-                    "tolerance": tolerance,
-                    "ok": rel <= tolerance,
-                }
-            )
+    pairs = [(m, n) for m in range(1, args.max_m + 1) for n in range(m, args.max_n + 1)]
+    # (m, k, alpha); k None is the Selberg normalization, k >= 1 an Aomoto moment
+    integrals = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
+                 for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))
+                 ] if args.quadrature else []
+    # One run over the integrals, then the exact checks: a worker takes the
+    # next task when it is free, so the exact checks fill in behind the few
+    # slow integrals (m = 3 at alpha = 1.5).
+    results = run_ordered(_identities_task, integrals + pairs, settings["workers"])
+    rows = [
+        {"record": "identity", "name": name, "m": m, "n": n, "lhs": lhs, "rhs": rhs,
+         "holds": holds}
+        for (m, n), checks in zip(pairs, results[len(integrals):])
+        for name, lhs, rhs, holds in checks
+    ]
+    for (m, k, alpha), value in zip(integrals, results):
+        if k is None:
+            name, closed = "selberg_simplex", closedform.normalization_integral(m, alpha, 1.0)
+        else:
+            name, closed = "aomoto_moment", identities.aomoto_moment_closed(m, k, alpha)
+        tolerance = identities.QUADRATURE_TARGETS[m]
+        rel = abs(value - closed) / abs(closed)
+        rows.append(
+            {
+                "record": "quadrature",
+                "name": name,
+                "m": m,
+                "k": k,
+                "alpha": alpha,
+                "value": value,
+                "closed_form": closed,
+                "rel_error": rel,
+                "tolerance": tolerance,
+                "ok": rel <= tolerance,
+            }
+        )
     return rows
 
 
+def _identities_task(task):
+    """An (m, k, alpha) integral, or the three exact identities at a pair (m, n)
+    as (name, lhs, rhs, holds) tuples; runs in a worker when there are several."""
+    if len(task) == 3:
+        return _quadrature_value(task)
+    m, n = task
+    return [
+        (report.name, str(report.lhs), str(report.rhs), report.holds)
+        for report in (
+            identities.gamma_ratio_sum_plain(m, n),
+            identities.gamma_ratio_sum_harmonic(m, n),
+            identities.riordan_identity_check(m, n),
+        )
+    ]
+
+
 def _quadrature_value(task) -> float:
-    """One certified quadrature oracle; runs in a worker when there are several."""
+    """One certified quadrature oracle."""
     m, k, alpha = task
     if k is None:
         return identities.selberg_quadrature_oracle(m, alpha)
@@ -535,8 +590,11 @@ def main(argv=None) -> int:
         else:
             try:
                 _emit(sys.stdout, manifest, rows, settings["format"])
+                sys.stdout.flush()
             except BrokenPipeError:
                 pass  # the reader stopped early; the records still decide the exit code
+            except OSError as exc:  # a full disk, say
+                raise UsageError(f"cannot write the records to standard output: {exc}") from exc
         violation = any(row.get("ok") is False or row.get("holds") is False for row in rows)
         return EXIT_VIOLATION if violation else EXIT_OK
     except UsageError as exc:
@@ -555,8 +613,10 @@ def run() -> None:
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
-        except BrokenPipeError:
-            pass  # the reader stopped early; the records still decide the exit code
+        except OSError:
+            # a closed pipe (the records still decide the exit code), or a
+            # failed write that main has reported; the buffer still holds it
+            pass
     # Nothing is left to release once the records are flushed, so the process
     # skips interpreter teardown (module and numpy/OpenBLAS finalization).
     os._exit(code)

@@ -2,11 +2,12 @@
 
 Integer-parameter averages are evaluated in exact rational arithmetic
 (digamma differences at integers reduce to harmonic differences, Gamma
-ratios to factorials), because the alternating series below cancel
-catastrophically in floats beyond m of about 15. The series terms are
-summed as integers over one common denominator, so a single `Fraction` is
-reduced per result. Real-parameter Gamma products are evaluated in
-log-Gamma space.
+ratios to integer recurrences), because the alternating series below cancel
+catastrophically in floats beyond m of about 15. Harmonic numbers are kept
+as integer numerators over one common denominator, in one table that grows
+on demand, so the series terms are summed as integers and a single
+`Fraction` is reduced per result. Real-parameter Gamma products are
+evaluated in log-Gamma space.
 """
 
 from __future__ import annotations
@@ -21,7 +22,55 @@ if TYPE_CHECKING:
     from .qcore import Spectrum
 
 _LN2 = math.log(2.0)
-_harmonics: list[Fraction] = [Fraction(0)]
+
+
+class _HarmonicTable:
+    """H_0..H_top as integer numerators over one denominator lcm(1..top)."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self) -> None:
+        self.numerators = [0]
+        self.denominator = 1
+
+    def grow(self, top: int) -> None:
+        """Cover H_top; a new table is at least a quarter longer, so growing
+        one k at a time rescales the table a logarithmic number of times."""
+        have = len(self.numerators) - 1
+        if top <= have:
+            return
+        top = max(top, have + have // 4)
+        denominator = _lcm_upto(top)
+        factor = denominator // self.denominator
+        numerators = self.numerators
+        if factor != 1:
+            for k in range(1, have + 1):
+                numerators[k] *= factor
+        running = numerators[-1]
+        for j in range(have + 1, top + 1):
+            running += denominator // j
+            numerators.append(running)
+        self.denominator = denominator
+
+
+_harmonics = _HarmonicTable()
+
+
+def _lcm_upto(top: int) -> int:
+    """lcm(1..top): the product of the largest power of each prime p <= top."""
+    sieve = bytearray([1]) * (top + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+    powers = []
+    for p in range(2, top + 1):
+        if sieve[p]:
+            power = p
+            while power * p <= top:
+                power *= p
+            powers.append(power)
+    return math.prod(powers)
 
 
 class ExactValue(NamedTuple):
@@ -35,9 +84,19 @@ def harmonic(k: int) -> Fraction:
     """k-th harmonic number 1 + 1/2 + ... + 1/k, exactly; H_0 = 0."""
     if k < 0:
         raise DomainError("harmonic numbers need k >= 0")
-    while len(_harmonics) <= k:
-        _harmonics.append(_harmonics[-1] + Fraction(1, len(_harmonics)))
-    return _harmonics[k]
+    _harmonics.grow(k)
+    return Fraction(_harmonics.numerators[k], _harmonics.denominator)
+
+
+def harmonic_numerators(top: int) -> tuple[list[int], int]:
+    """(A, L) with H_k = A[k] / L for every k <= top; L = lcm(1..K) for some K >= top.
+
+    A is the shared table itself, valid until the next call that grows it.
+    """
+    if top < 0:
+        raise DomainError("harmonic numbers need k >= 0")
+    _harmonics.grow(top)
+    return _harmonics.numerators, _harmonics.denominator
 
 
 def normalization_integral_log(m: int, alpha: float, gamma: float) -> float:
@@ -65,22 +124,22 @@ def gamma_ratio_terms(m: int, n: int) -> list[int]:
     """(-1)^k Gamma(m+n-k) / (k! Gamma(m-k) Gamma(n-k)) for k = 0..m-1, exactly.
 
     Each term is (m+n-1-k) times the multinomial of m+n-2-k over
-    (k, m-1-k, n-1-k), so it is an integer and the division is exact.
+    (k, m-1-k, n-1-k), so it is an integer. From u_0 = (m+n-1) C(m+n-2, m-1)
+    the terms follow the ratio u_{k+1} / u_k = -(m-1-k)(n-1-k) / ((k+1)(m+n-1-k)),
+    whose division is exact because u_{k+1} is an integer.
     """
-    f = math.factorial
-    return [
-        (-1) ** k * (f(m + n - 1 - k) // (f(k) * f(m - 1 - k) * f(n - 1 - k)))
-        for k in range(m)
-    ]
+    u = (m + n - 1) * math.comb(m + n - 2, m - 1)
+    terms = [u]
+    for k in range(m - 1):
+        u = -(u * (m - 1 - k) * (n - 1 - k)) // ((k + 1) * (m + n - 1 - k))
+        terms.append(u)
+    return terms
 
 
 def harmonic_weighted_sum(terms: list[int], top: int) -> Fraction:
-    """sum_k terms[k] H_{top-k}, summed in integers over the one denominator lcm(1..top)."""
-    denominator = math.lcm(*range(1, top + 1))
-    scaled = [0]  # scaled[j] = H_j * denominator
-    for j in range(1, top + 1):
-        scaled.append(scaled[-1] + denominator // j)
-    return Fraction(sum(t * scaled[top - k] for k, t in enumerate(terms)), denominator)
+    """sum_k terms[k] H_{top-k}, summed in integers over the harmonic table's one denominator."""
+    numerators, denominator = harmonic_numerators(top)
+    return Fraction(sum(t * numerators[top - k] for k, t in enumerate(terms)), denominator)
 
 
 def average_subentropy_series(m: int, alpha: int) -> ExactValue:
@@ -104,10 +163,16 @@ def average_subentropy_series(m: int, alpha: int) -> ExactValue:
     if alpha < 1 or int(alpha) != alpha:
         raise DomainError("exact summation needs an integer alpha >= 1")
     n = m + int(alpha) - 1
-    scale = m * n
-    u = gamma_ratio_terms(m, n)
-    value = (harmonic(scale) * sum(u) - harmonic_weighted_sum(u, m + n - 1)) / scale
+    a, denominator = harmonic_numerators(m * n)
+    value = Fraction(subentropy_series_numerator(m, n, a), m * n * denominator)
     return ExactValue(value, float(value))
+
+
+def subentropy_series_numerator(m: int, n: int, a: list[int]) -> int:
+    """m n L times `average_subentropy_series(m, n - m + 1)`, from harmonic
+    numerators with H_k = a[k] / L up to k = m n (which bounds m + n - 1)."""
+    u = gamma_ratio_terms(m, n)
+    return a[m * n] * sum(u) - sum(t * a[m + n - 1 - k] for k, t in enumerate(u))
 
 
 def _check_pair(m: int, n: int) -> None:

@@ -11,31 +11,33 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .closedform import _check_pair, gamma_ratio_terms, harmonic, harmonic_weighted_sum
 from .errors import DomainError, QuadratureFailure
-from .quadpack import quad
+
+# `quadpack` is imported by the quadrature oracles only, so the exact checks
+# (and `subent.cli`, which binds this module) start without it.
 
 #: Relative accuracy the quadrature oracles must certify, per dimension.
 QUADRATURE_TARGETS = {2: 1e-6, 3: 1e-4}
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """One verified identity instance; holds is exact equality of the sides."""
 
-    name: str
-    parameters: tuple[int, ...]
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
+    __slots__ = ("name", "parameters", "lhs", "rhs", "holds")
 
-    def __post_init__(self) -> None:
-        if self.holds != (self.lhs == self.rhs):
+    def __init__(self, name: str, parameters: tuple[int, ...], lhs: Fraction, rhs: Fraction,
+                 holds: bool) -> None:
+        if holds != (lhs == rhs):
             raise ValueError("holds flag contradicts the recorded sides")
+        self.name, self.parameters, self.lhs, self.rhs, self.holds = (
+            name, parameters, lhs, rhs, holds)
+
+    def __repr__(self) -> str:
+        return (f"IdentityReport(name={self.name!r}, parameters={self.parameters!r}, "
+                f"lhs={self.lhs!r}, rhs={self.rhs!r}, holds={self.holds!r})")
 
 
 def gamma_ratio_sum_plain(m: int, n: int) -> IdentityReport:
@@ -93,13 +95,14 @@ def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:
     return math.exp(log)
 
 
-def _triangle_quad(f: Callable[[float, float], float], epsabs: float, epsrel: float,
-                   panels: dict[float, dict] | None = None) -> tuple[float, float]:
+def _triangle_quad(row: Callable[[float], Callable[[float], float]], epsabs: float,
+                   epsrel: float, panels: dict[float, dict] | None = None) -> tuple[float, float]:
     """Integral of f(x, y) over x + y <= 1 in the positive quadrant.
 
-    Nests `quad` over y in [0, 1 - x] inside `quad` over x, both at epsabs,
-    epsrel and limit 50, as `scipy.integrate.dblquad` does; the error is the
-    largest estimate of any call, as dblquad reports it.
+    `row(x)` is the function y -> f(x, y), built once per outer node x. Nests
+    `quad` over y in [0, 1 - x] inside `quad` over x, both at epsabs, epsrel
+    and limit 50, as `scipy.integrate.dblquad` does; the error is the largest
+    estimate of any call, as dblquad reports it.
 
     `panels`, if given, maps each outer node x to the `quad` panel dict of
     the inner integral at x, so a later call on the same f with the same dict
@@ -107,19 +110,62 @@ def _triangle_quad(f: Callable[[float, float], float], epsabs: float, epsrel: fl
     integrand is an inner integral at this call's tolerance, so its panels
     are not kept. The result is the same, bit for bit, with or without.
     """
+    from .quadpack import quad
+
     worst = 0.0
     if panels is None:
         panels = {}
 
     def inner(x: float) -> float:
         nonlocal worst
-        value, err = quad(partial(f, x), 0.0, 1.0 - x, epsabs, epsrel,
-                          panels=panels.setdefault(x, {}))
+        value, err = quad(row(x), 0.0, 1.0 - x, epsabs, epsrel, panels=panels.setdefault(x, {}))
         worst = max(worst, err)
         return value
 
     value, err = quad(inner, 0.0, 1.0, epsabs, epsrel)
     return value, max(worst, err)
+
+
+def _simplex_row(alpha: float, moment: int) -> Callable[[float], Callable[[float], float]]:
+    """x -> (y -> integrand at (x, y, 1 - x - y)) of the m = 3 simplex integral.
+
+    Each closure is specialised to its moment and reads 1 - x and alpha - 1
+    from its node; the floats are those of forming 1.0 - x - y, the squared
+    Vandermonde times (x y z)^(alpha-1), then the moment factors x, y, z in
+    that order, every time.
+    """
+    power = alpha - 1.0
+
+    def row(x: float) -> Callable[[float], float]:
+        rest = 1.0 - x  # 1.0 - x - y is (1.0 - x) - y
+
+        def plain(y: float) -> float:
+            z = rest - y
+            if z <= 0.0:
+                return 0.0
+            return ((x - y) * (x - z) * (y - z)) ** 2 * (x * y * z) ** power
+
+        def first(y: float) -> float:
+            z = rest - y
+            if z <= 0.0:
+                return 0.0
+            return ((x - y) * (x - z) * (y - z)) ** 2 * (x * y * z) ** power * x
+
+        def second(y: float) -> float:
+            z = rest - y
+            if z <= 0.0:
+                return 0.0
+            return ((x - y) * (x - z) * (y - z)) ** 2 * (x * y * z) ** power * x * y
+
+        def third(y: float) -> float:
+            z = rest - y
+            if z <= 0.0:
+                return 0.0
+            return ((x - y) * (x - z) * (y - z)) ** 2 * (x * y * z) ** power * x * y * z
+
+        return (plain, first, second, third)[moment]
+
+    return row
 
 
 def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
@@ -133,6 +179,7 @@ def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
     only where it refines further. Returns (value, error estimate).
     """
     if m == 2:
+        from .quadpack import quad
 
         def integrand(x: float) -> float:
             y = 1.0 - x
@@ -145,25 +192,12 @@ def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
 
         return quad(integrand, 0.0, 1.0, 0.0, 1e-10, limit=200)
 
-    def integrand(x: float, y: float) -> float:
-        z = 1.0 - x - y
-        if z <= 0.0:
-            return 0.0
-        delta2 = ((x - y) * (x - z) * (y - z)) ** 2
-        value = delta2 * (x * y * z) ** (alpha - 1.0)
-        if moment >= 1:
-            value *= x
-        if moment >= 2:
-            value *= y
-        if moment >= 3:
-            value *= z
-        return value
-
+    row = _simplex_row(alpha, moment)
     target = QUADRATURE_TARGETS[m]
     panels: dict[float, dict] = {}
-    rough, _ = _triangle_quad(integrand, 1e-13, 1e-3, panels)
+    rough, _ = _triangle_quad(row, 1e-13, 1e-3, panels)
     scale = max(abs(rough), 1e-300)
-    return _triangle_quad(integrand, scale * target * 1e-3, target * 1e-2, panels)
+    return _triangle_quad(row, scale * target * 1e-3, target * 1e-2, panels)
 
 
 def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:

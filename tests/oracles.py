@@ -220,6 +220,25 @@ def identity_sides(m: int, n: int) -> dict[str, tuple[Fraction, Fraction]]:
     }
 
 
+def formula_sides(m: int, n: int, h: list[Fraction]) -> dict[str, Fraction]:
+    """The values of a `formula` record, from harmonic numbers `h` (up to
+    H_mn) and the series summed term by term in reduced fractions."""
+    terms = [_gamma_ratio_term(m, n, k) for k in range(m)]
+    sub = 1 + h[m * n] - h[m] - h[n]
+    ent = h[m * n] - h[n] - Fraction(m - 1, 2 * n)
+    coh = Fraction(m - 1, 2 * n)
+    weighted = sum((t * h[m + n - 1 - k] for k, t in enumerate(terms)), Fraction(0))
+    series = (h[m * n] * sum(terms, Fraction(0)) - weighted) / (m * n)
+    return {
+        "avg_subentropy": sub,
+        "avg_entropy": ent,
+        "avg_coherence": coh,
+        "series": series,
+        "series_residual": series - sub,
+        "consistency_residual": (h[m] - 1) + sub - ent - coh,
+    }
+
+
 def induced_one_shot(m: int, n: int, rng, size: int) -> np.ndarray:
     """`size` states G G^H / tr(G G^H) from one draw of the whole stream."""
     g = complex_normals(rng.generator(), size * m * n).reshape(size, m, n)

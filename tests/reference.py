@@ -6,8 +6,9 @@ This module keeps the second route the tests compare that one with: value
 types for one density matrix or pure state, validated on construction;
 their spectrum, dephasing, coherence and partial trace; Haar unitaries,
 Haar pure states and isospectral orbits from the same Philox streams; the
-isospectral and Lipschitz Monte Carlo checks; the Selberg integral; and
-the two exceptions only these raise. No `subent` command reaches any of it.
+isospectral and Lipschitz Monte Carlo checks; the Selberg integral; the
+simplex quadrature with its scalar m = 3 integrand; and the two exceptions
+only these raise. No `subent` command reaches any of it.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from subent import DEFAULT_CHUNK
 from subent.closedform import _check_pair, harmonic
 from subent.errors import ConvergenceFailure, DomainError, SubentError
+from subent.identities import QUADRATURE_TARGETS
 from subent.montecarlo import MonteCarloEstimate, _merge, _run_ordered, _tasks
 from subent.qcore import (
     _SUM_TOL,
@@ -31,6 +34,7 @@ from subent.qcore import (
     subentropy,
     von_neumann_entropy,
 )
+from subent.quadpack import quad
 from subent.sampling import RngStream, _normal_blocks, complex_normals, induced_blocks
 
 
@@ -406,3 +410,54 @@ def selberg_integral_log(m: int, alpha: float, beta: float, gamma: float) -> flo
 def selberg_integral(m: int, alpha: float, beta: float, gamma: float) -> float:
     """The Selberg integral over [0,1]^m of prod x^(a-1) (1-x)^(b-1) |Vandermonde|^(2g)."""
     return math.exp(selberg_integral_log(m, alpha, beta, gamma))
+
+
+def simplex_integral_reference(m: int, alpha: float, moment: int) -> tuple[float, float]:
+    """(value, error estimate) of `identities._simplex_integral` as it was
+    while the m = 3 integrand was one scalar f(x, y), bound to each outer
+    node with `partial` and branching on the moment at every point."""
+    if m == 2:
+
+        def integrand2(x: float) -> float:
+            y = 1.0 - x
+            value = (x - y) ** 2 * (x * y) ** (alpha - 1.0)
+            if moment >= 1:
+                value *= x
+            if moment >= 2:
+                value *= y
+            return value
+
+        return quad(integrand2, 0.0, 1.0, 0.0, 1e-10, limit=200)
+
+    def integrand(x: float, y: float) -> float:
+        z = 1.0 - x - y
+        if z <= 0.0:
+            return 0.0
+        delta2 = ((x - y) * (x - z) * (y - z)) ** 2
+        value = delta2 * (x * y * z) ** (alpha - 1.0)
+        if moment >= 1:
+            value *= x
+        if moment >= 2:
+            value *= y
+        if moment >= 3:
+            value *= z
+        return value
+
+    def triangle(epsabs: float, epsrel: float, panels: dict) -> tuple[float, float]:
+        worst = 0.0
+
+        def inner(x: float) -> float:
+            nonlocal worst
+            value, err = quad(partial(integrand, x), 0.0, 1.0 - x, epsabs, epsrel,
+                              panels=panels.setdefault(x, {}))
+            worst = max(worst, err)
+            return value
+
+        value, err = quad(inner, 0.0, 1.0, epsabs, epsrel)
+        return value, max(worst, err)
+
+    target = QUADRATURE_TARGETS[m]
+    panels: dict[float, dict] = {}
+    rough, _ = triangle(1e-13, 1e-3, panels)
+    scale = max(abs(rough), 1e-300)
+    return triangle(scale * target * 1e-3, target * 1e-2, panels)

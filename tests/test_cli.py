@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from subent import closedform, estimate_functional, pool
 from subent.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _emit, _z_score, main
 
@@ -79,10 +80,26 @@ class TestFormula:
         argv = ["formula", "--m-range", "5..6", "--n-range", "1..2", "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
 
+    def test_sweep_equals_fraction_oracle(self, tmp_path):
+        # every value and both residuals against reduced-fraction arithmetic
+        # on the m <= n <= 60 grid
+        code, text = run_to_file(tmp_path, "f.json",
+                                 ["formula", "--m-range", "1..60", "--n-range", "1..60"])
+        assert code == EXIT_OK
+        rows = records(text)
+        assert len(rows) == 60 * 61 // 2
+        h = oracles.harmonic_numbers(60 * 60)
+        for row in rows:
+            m, n = row["m"], row["n"]
+            for key, value in oracles.formula_sides(m, n, h).items():
+                assert row[key] == str(value), (m, n, key)
+            for key in ("avg_subentropy", "avg_entropy", "avg_coherence", "series"):
+                assert row[f"{key}_float"] == float(Fraction(row[key])), (m, n, key)
+
     def test_exact_fractions_of_any_size(self, tmp_path, monkeypatch):
         # the integers of H_40000 run past CPython's default 4300-digit
         # int-to-str limit; the command used to die there, writing nothing
-        monkeypatch.setattr(closedform, "_harmonics", closedform._harmonics[:])  # drop the cache growth
+        monkeypatch.setattr(closedform, "_harmonics", closedform._HarmonicTable())  # drop the table growth
         limit = sys.get_int_max_str_digits()
         code, text = run_to_file(tmp_path, "f.json", ["formula", "--m", "200", "--n", "200"])
         assert code == EXIT_OK
@@ -470,6 +487,28 @@ class TestFailurePaths:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"usage error: cannot write {target}: ")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["formula", "--m", "2", "--n", "3"],  # fits the buffer: fails at the flush
+        ["formula", "--m-range", "1..40", "--n-range", "1..40"],  # fails while writing
+        ["identities", "--max-m", "2", "--max-n", "2", "--quadrature"],
+    ], ids=["formula-pair", "formula-sweep", "identities"])
+    def test_full_standard_output_is_one_line(self, argv, workers, unbuffered):
+        env = {k: v for k, v in _source_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "subent", *argv, "--workers", workers],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env=env)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            "usage error: cannot write the records to standard output: [Errno 28] ")
+
     def test_eigensolver_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         import numpy as np
 
@@ -528,6 +567,12 @@ class TestGoldenExactPayloads:
              "12a0f0629de0feaf0f5be7e58b8a37725d8c735febf7ba4c56119cd9c8e90678"),
             (["identities", "--max-m", "20", "--max-n", "20"], 630,
              "e60ae92c18e2e131464d6841150373a50767f75dd70538aa5329400af9b5ae7d"),
+            # the CSV header and 820 rows; and one pair whose residuals are
+            # formed over denominators of about 2,800 bits
+            (["formula", "--m-range", "1..40", "--n-range", "1..40", "--format", "csv"], 821,
+             "447b7e5b5adde8e4d4fd09963557049787705b04fc5a37b72e2006b2d965d378"),
+            (["formula", "--m", "37", "--n", "53"], 1,
+             "9b4d617740381972de54fe88ff9023032b4f87ba36395938990980ad59cc3478"),
         ],
     )
     def test_payload_digest(self, tmp_path, argv, rows, digest):

@@ -6,6 +6,7 @@ from scipy import integrate
 
 import oracles
 from reference import digamma_integer_diff, selberg_integral
+from subent import closedform
 from subent import (
     DimensionOrder,
     DomainError,
@@ -35,6 +36,25 @@ class TestHarmonic:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             harmonic(-1)
+
+    def test_table_grown_out_of_order_equals_fraction_sums(self, monkeypatch):
+        # each growth rescales the numerators to a new common denominator
+        monkeypatch.setattr(closedform, "_harmonics", closedform._HarmonicTable())
+        for k in (1600, 3, 2000, 40):
+            harmonic(k)
+        expected = oracles.harmonic_numbers(2000)
+        assert [harmonic(k) for k in range(2001)] == expected
+        numerators, denominator = closedform.harmonic_numerators(2000)
+        assert denominator == math.lcm(*range(1, len(numerators)))
+        assert all(Fraction(numerators[k], denominator) == expected[k] for k in range(2001))
+
+
+class TestGammaRatioTerms:
+    def test_recurrence_equals_factorial_terms(self):
+        for m in range(1, 61):
+            for n in range(m, 61):
+                expected = [oracles._gamma_ratio_term(m, n, k) for k in range(m)]
+                assert closedform.gamma_ratio_terms(m, n) == expected, (m, n)
 
 
 class TestDigammaDiff:

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from reference import simplex_integral_reference
 from subent import (
     DimensionOrder,
     DomainError,
@@ -15,6 +17,8 @@ from subent import (
     riordan_identity_check,
     selberg_quadrature_oracle,
 )
+from subent import identities
+from subent.cli import main
 from subent.identities import QUADRATURE_TARGETS, aomoto_moment_closed
 
 
@@ -162,3 +166,27 @@ class TestAomotoQuadratureOracle:
             aomoto_quadrature_oracle(2, 3, 1.0)
         with pytest.raises(DomainError):
             aomoto_quadrature_oracle(5, 1, 1.0)
+
+
+_INTEGRALS = [(m, alpha, moment) for m in (2, 3) for alpha in (1.0, 1.5, 2.0, 3.0)
+              for moment in range(m + 1)]
+
+
+@pytest.mark.parametrize("m, alpha, moment", _INTEGRALS)
+def test_simplex_integral_equals_scalar_reference(m, alpha, moment):
+    # value and error estimate, bit for bit
+    assert identities._simplex_integral(m, alpha, moment) == simplex_integral_reference(
+        m, alpha, moment)
+
+
+def test_quadrature_records_equal_scalar_reference(tmp_path):
+    out = tmp_path / "q.json"
+    code = main(["identities", "--max-m", "1", "--max-n", "1", "--quadrature", "--workers", "2",
+                 "--out", str(out)])
+    assert code == 0
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    values = {(row["m"], row["alpha"], row["k"] or 0): row["value"]
+              for row in rows if row["record"] == "quadrature"}
+    assert sorted(values) == sorted(_INTEGRALS)
+    for (m, alpha, moment), value in values.items():
+        assert value == simplex_integral_reference(m, alpha, moment)[0], (m, alpha, moment)

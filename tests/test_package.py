@@ -88,6 +88,28 @@ def test_montecarlo_binds_no_other_sampler():
     assert proc.stdout.split() == ["False", "False", "[]"]
 
 
+def test_cli_starts_without_the_quadrature_modules(tmp_path):
+    # `subent.cli` binds `identities`, whose quadrature oracles alone need
+    # `quadpack`; a frozen dataclass would bring `dataclasses` and `inspect`
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import subent.cli\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(sorted(loaded & {'dataclasses', 'inspect', 'subent.quadpack'}))\n"
+        "subent.cli.main(['formula', '--m-range', '1..3', '--n-range', '1..4', '--out', sys.argv[1]])\n"
+        "print('subent.quadpack' in sys.modules)"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.json")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "False"]
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         subent.no_such_name  # noqa: B018

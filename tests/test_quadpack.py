@@ -3,6 +3,7 @@ routines compiled: value and error estimate must agree bit for bit."""
 
 import math
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,7 +92,7 @@ class TestAgainstScipy:
             expected = integrate.dblquad(
                 lambda y, x: f(x, y), 0.0, 1.0, 0.0, lambda x: 1.0 - x, epsabs=epsabs, epsrel=epsrel
             )
-        assert identities._triangle_quad(f, epsabs, epsrel) == expected
+        assert identities._triangle_quad(lambda x: partial(f, x), epsabs, epsrel) == expected
 
 
 @pytest.mark.parametrize("m, alpha, moment", [
