@@ -91,28 +91,19 @@ _JSON_ENCODERS = {
 }
 
 
-def _csv_text(value) -> str:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
     text = str(value)
-    if "," in text or '"' in text or "\n" in text:
+    if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
-
-
-_CSV_ENCODERS = {
-    type(None): lambda value: "",
-    bool: lambda value: "true" if value else "false",
-    float: _fmt_float,
-    int: str,
-    str: _csv_text,
-}
-
-
-def _csv_cell(value) -> str:
-    encode = _CSV_ENCODERS.get(type(value))
-    if encode is None:  # a subclass, or any other value written as its str
-        encode = next((f for kind, f in _CSV_ENCODERS.items() if isinstance(value, kind)),
-                      _csv_text)
-    return encode(value)
 
 
 def _emit(stream, manifest: dict, rows: list[dict], fmt: str) -> None:

@@ -57,20 +57,12 @@ _harmonics = _HarmonicTable()
 
 
 def _lcm_upto(top: int) -> int:
-    """lcm(1..top): the product of the largest power of each prime p <= top."""
-    sieve = bytearray([1]) * (top + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, math.isqrt(top) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, top + 1, p)))
-    powers = []
-    for p in range(2, top + 1):
-        if sieve[p]:
-            power = p
-            while power * p <= top:
-                power *= p
-            powers.append(power)
-    return math.prod(powers)
+    """lcm(1..top) for top >= 1, from (top/2, top] alone, which every k <= top
+    divides a member of; pairwise, so no step grows the whole product by one factor."""
+    values = list(range(top // 2 + 1, top + 1))
+    while len(values) > 1:
+        values = [math.lcm(*values[i:i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
 
 
 class ExactValue(NamedTuple):
