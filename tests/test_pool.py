@@ -46,6 +46,27 @@ def test_lowest_failing_task_wins(four_cpus):
     assert_no_child_left()
 
 
+def test_more_tasks_than_the_ticket_pipe_holds(four_cpus):
+    # 20,000 eight-byte task indices are more than a 64 KiB pipe holds, so
+    # handing them out blocks until the workers have taken some
+    tasks = list(range(20_000))
+    assert pool.run_ordered(square, tasks, 2) == [square(task) for task in tasks]
+    assert_no_child_left()
+
+
+def test_workers_that_all_stop_early_do_not_block_the_hand_out(four_cpus):
+    # each worker's results outgrow its pipe before it fails, so it blocks
+    # sending them while most task indices are still to be handed out
+    def large_then_fail(task):
+        if task < 4:
+            return bytes(100_000)
+        raise ValueError(f"task {task}")
+
+    with pytest.raises(ValueError, match="task 4$"):
+        pool.run_ordered(large_then_fail, list(range(20_000)), 2)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("end, status", [
     (lambda: os._exit(7), 7),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
