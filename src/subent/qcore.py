@@ -104,8 +104,9 @@ def subentropy_values(spectra: np.ndarray) -> np.ndarray:
     out = np.empty(n_rows)
     plain = np.nonzero(~confluent)[0]
     out[plain], probe_error = _divided_difference_plain(z[plain])
-    for i in plain[probe_error > _PROBE_TOL]:
-        out[i] = _subentropy_escalated(z[i])
+    failing = plain[probe_error > _PROBE_TOL]
+    if failing.size:
+        out[failing] = _subentropy_escalated(z[failing])
     integral = confluent | np.isnan(out)
     if integral.any():
         out[integral] = _subentropy_integral(z[integral])
@@ -122,130 +123,115 @@ def _divided_difference_plain(z: np.ndarray):
     m = z.shape[1]
     safe = np.where(z > 0.0, z, 1.0)
     power = z ** float(m)
-    table = power * np.log(safe)
-    probe = power.copy()
-    for width in range(1, m):
+    value, probe = _table(z, power * np.log(safe), power)
+    return value, np.abs(probe - z.sum(axis=1))
+
+
+def _table(z: np.ndarray, col: np.ndarray, probe: np.ndarray):
+    """(-[z_1,...,z_m] x^m ln x, [z_1,...,z_m] x^m) row-wise from the node
+    terms `col` (x^m ln x) and `probe` (x^m) at the distinct nodes z."""
+    for width in range(1, z.shape[1]):
         span = z[:, width:] - z[:, :-width]
-        table = (table[:, 1:] - table[:, :-1]) / span
+        col = (col[:, 1:] - col[:, :-1]) / span
         probe = (probe[:, 1:] - probe[:, :-1]) / span
-    probe_error = np.abs(probe[:, 0] - z.sum(axis=1))
-    return -table[:, 0], probe_error
+    return -col[:, 0], probe[:, 0]
 
 
-def _scalar_table(nodes: list):
-    """(-[z_1,...,z_m] x^m ln x, [z_1,...,z_m] x^m) on distinct float nodes."""
-    m = len(nodes)
-    probe = [v**m for v in nodes]
-    col = [p * math.log(v) if v > 0 else p for p, v in zip(probe, nodes)]
-    for width in range(1, m):
-        spans = [nodes[i + width] - nodes[i] for i in range(m - width)]
-        col = [(col[i + 1] - col[i]) / span for i, span in enumerate(spans)]
-        probe = [(probe[i + 1] - probe[i]) / span for i, span in enumerate(spans)]
-    return -col[0], probe[0]
+def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
+    """Subentropy of the (k, m) rows whose vectorized probe failed; nan for a
+    row the table certifies at no precision up to 1280 digits.
 
+    The float pass runs `_table` again on node terms from libm, because
+    numpy's vectorized `log` and `pow` may differ from libm's in the last
+    bit, so a row the vectorized probe rejects can pass here: on an AVX-512
+    host, 2,038 of the 2,048 rows of the benchmark's `subentropy-m32` draws
+    at seeds 0-15 failed the vectorized probe, and this pass certified one
+    of them. Its subtractions and divisions round correctly, in numpy as in
+    Python floats, so each row gets the bits of a scalar float table.
 
-def _round(man: int, exp: int, prec: int, sticky: int = 0) -> tuple[int, int]:
-    """man * 2**exp rounded to prec bits, to nearest with ties to even. A
-    nonzero `sticky` stands for a remainder below the last bit of man that
-    has the sign of man."""
-    mag = -man if man < 0 else man
-    shift = mag.bit_length() - prec
-    if shift <= 0:
-        return man, exp
-    kept = mag >> shift
-    half = 1 << (shift - 1)
-    if mag & half and (kept & 1 or sticky or mag & (half - 1)):
-        kept += 1
-    return (-kept if man < 0 else kept), exp + shift
-
-
-def _sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
-    """a - b on (mantissa, exponent) pairs, correctly rounded to prec bits."""
-    (am, ae), (bm, be) = a, b
-    if ae > be:
-        return _round((am << (ae - be)) - bm, be, prec)
-    return _round(am - (bm << (be - ae)), ae, prec)
-
-
-def _sub_div(a: tuple[int, int], b: tuple[int, int], span: tuple[int, int],
-             prec: int) -> tuple[int, int]:
-    """(a - b) / span rounded to prec bits after the subtraction and again
-    after the division, as `mpf_div(mpf_sub(a, b), span)` rounds."""
-    num, exp = _sub(a, b, prec)
-    if not num:
-        return 0, 0
-    den, den_exp = span
-    # at least prec + 1 quotient bits, so the remainder lies strictly below
-    # the rounding position and serves as the sticky bit
-    extra = prec + den.bit_length() - num.bit_length() + 1
-    quot, rem = divmod(abs(num) << extra, abs(den))
-    quot, exp = _round(quot, exp - den_exp - extra, prec, rem)
-    return (-quot if (num < 0) != (den < 0) else quot), exp
-
-
-def _pair(value: tuple) -> tuple[int, int]:
-    """A libmp number as a (signed mantissa, exponent) pair."""
-    sign, man, exp, _ = value
-    return (-man if sign else man), exp
-
-
-def _subentropy_escalated(row: np.ndarray) -> float:
-    """Subentropy of one row whose vectorized probe failed, or nan if the
-    scalar table certifies it at no precision up to 1280 digits.
-
-    The float pass is kept because numpy's vectorized `log` and `pow` may
-    differ from libm's in the last bit, so a row the vectorized probe
-    rejects can pass here: on an AVX-512 host, 2,038 of the 2,048 rows of
-    the benchmark's `subentropy-m32` draws at seeds 0-15 failed the
-    vectorized probe, and this pass certified one of them.
-
-    The passes at 40, 80, ... 1280 digits run `_mantissa_table`; the probe's
-    node sum and bound and the final float come from mpmath's `libmp`.
+    The rows it leaves climb through `_mantissa_table` at 40, 80, ... 1280
+    digits; the probe's node sum and bound and the final float come from
+    mpmath's `libmp`.
     """
     import mpmath as mp
     from mpmath import libmp
 
-    nodes = row.tolist()
-    value, probe = _scalar_table(nodes)
-    if abs(probe - row.sum()) <= _PROBE_TOL:
-        return max(0.0, value)
-    exact = [libmp.from_float(v) for v in nodes]
-    dps = 40
-    while dps <= 1280:
-        # Called as mp.workdps on each pass: perfbench/inproc.py counts the calls.
-        with mp.workdps(dps):
-            prec = libmp.dps_to_prec(dps)
-            value, probe = _mantissa_table(exact, prec)
-            residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
-            bound = libmp.mpf_pow_int(libmp.from_int(10), 20 - dps, prec, "n")
-            if libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound):
-                return max(0.0, libmp.to_float(value, rnd="n"))
-        dps *= 2
-    return math.nan
+    m = rows.shape[1]
+    nodes = rows.ravel().tolist()
+    power = [v**m for v in nodes]
+    terms = [p * math.log(v) if v > 0 else p for p, v in zip(power, nodes)]
+    value, probe = _table(rows, np.reshape(terms, rows.shape), np.reshape(power, rows.shape))
+    certified = np.abs(probe - [row.sum() for row in rows]) <= _PROBE_TOL
+    out = np.where(value > 0.0, value, 0.0)
+    for j in np.nonzero(~certified)[0]:
+        out[j] = math.nan
+        exact = [libmp.from_float(v) for v in nodes[j * m:(j + 1) * m]]
+        for dps in (40, 80, 160, 320, 640, 1280):
+            # Called as mp.workdps on each pass: perfbench/inproc.py counts the calls.
+            with mp.workdps(dps):
+                prec = libmp.dps_to_prec(dps)
+                value, probe = _mantissa_table(exact, prec)
+                residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
+                bound = libmp.mpf_pow_int(libmp.from_int(10), 20 - dps, prec, "n")
+                if libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound):
+                    out[j] = max(0.0, libmp.to_float(value, rnd="n"))
+                    break
+    return out
 
 
 def _mantissa_table(nodes: list, prec: int):
-    """`_scalar_table` at prec bits on distinct libmp nodes, as libmp numbers.
+    """The scalar table at prec bits on distinct libmp nodes: (-[z_1,...,z_m]
+    x^m ln x, [z_1,...,z_m] x^m) as libmp numbers.
 
-    The node terms x^m ln x and x^m come from libmp; the table runs on
-    (mantissa, exponent) pairs of Python ints through `_sub` and `_sub_div`.
-    libmp's `mpf_sub` and `mpf_div` round correctly to nearest, so the table
-    holds exactly the values a table of `mpf` numbers holds.
+    The node terms come from libmp. The table runs in place on signed
+    mantissas and exponents of Python ints and rounds each step to nearest
+    as libmp's `mpf_sub` and `mpf_div` do, so it holds exactly the values a
+    table of `mpf` numbers holds.
     """
     from mpmath import libmp
 
     m = len(nodes)
-    probe = [libmp.mpf_pow_int(v, m, prec, "n") for v in nodes]
-    col = [libmp.mpf_mul(p, libmp.mpf_log(v, prec, "n"), prec, "n") if libmp.mpf_sign(v) > 0 else p
-           for p, v in zip(probe, nodes)]
-    col, probe = [_pair(t) for t in col], [_pair(p) for p in probe]
-    pairs = [_pair(v) for v in nodes]
+    power = [libmp.mpf_pow_int(v, m, prec, "n") for v in nodes]
+    terms = [libmp.mpf_mul(p, libmp.mpf_log(v, prec, "n"), prec, "n") if libmp.mpf_sign(v) > 0 else p
+             for p, v in zip(power, nodes)]
+    zm, cm, pm = ([-t[1] if t[0] else t[1] for t in c] for c in (nodes, terms, power))
+    ze, ce, pe = ([t[2] for t in c] for c in (nodes, terms, power))
+    columns = ((cm, ce), (pm, pe))
     for width in range(1, m):
-        spans = [_sub(hi, lo, prec) for hi, lo in zip(pairs[width:], pairs)]
-        col = [_sub_div(hi, lo, s, prec) for hi, lo, s in zip(col[1:], col, spans)]
-        probe = [_sub_div(hi, lo, s, prec) for hi, lo, s in zip(probe[1:], probe, spans)]
-    value = libmp.mpf_neg(libmp.from_man_exp(*col[0]), prec, "n")
-    return value, libmp.from_man_exp(*probe[0])
+        for i in range(m - width):
+            # the span z[i + width] - z[i], shared by both columns
+            a, ae, b, be = zm[i + width], ze[i + width], zm[i], ze[i]
+            d, e = ((a << (ae - be)) - b, be) if ae > be else (a - (b << (be - ae)), ae)
+            smag = -d if d < 0 else d
+            shift = smag.bit_length() - prec
+            if shift > 0:
+                # to nearest, ties to even
+                smag = (smag + (1 << (shift - 1)) - 1 + (smag >> shift & 1)) >> shift
+                e += shift
+            sneg, sbits, se = d < 0, smag.bit_length(), e
+            for man, exp in columns:
+                a, ae, b, be = man[i + 1], exp[i + 1], man[i], exp[i]
+                d, e = ((a << (ae - be)) - b, be) if ae > be else (a - (b << (be - ae)), ae)
+                if not d:
+                    man[i] = exp[i] = 0
+                    continue
+                mag = -d if d < 0 else d
+                shift = mag.bit_length() - prec
+                if shift > 0:
+                    mag = (mag + (1 << (shift - 1)) - 1 + (mag >> shift & 1)) >> shift
+                    e += shift
+                # mag and smag have at most prec significant bits, so their
+                # quotient is exact in prec bits or has an infinite binary
+                # expansion: it never falls half-way, and rounding half-up
+                # from the first dropped bit rounds to nearest
+                extra = prec + sbits - mag.bit_length() + 1
+                q = (mag << extra) // smag
+                shift = q.bit_length() - prec
+                q = ((q >> (shift - 1)) + 1) >> 1
+                man[i] = -q if (d < 0) != sneg else q
+                exp[i] = e - se - extra + shift
+    value = libmp.mpf_neg(libmp.from_man_exp(cm[0], ce[0]), prec, "n")
+    return value, libmp.from_man_exp(pm[0], pe[0])
 
 
 def _subentropy_integral(z: np.ndarray) -> np.ndarray:

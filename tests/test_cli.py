@@ -764,6 +764,15 @@ def test_exact_commands_do_not_load_numpy_or_mpmath(tmp_path, argv):
     assert _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0") == []
 
 
+def test_drawing_without_escalation_does_not_load_mpmath(tmp_path):
+    # qcore imports mpmath only for rows the float pass cannot certify, and
+    # none of these m = 4 rows reaches the digit passes
+    assert _loaded("import subent.montecarlo", ("mpmath",)) == []
+    argv = ["estimate", "--m", "4", "--n", "4", "--which", "subentropy", "--samples", "64",
+            "--workers", "1", "--out", str(tmp_path / "e.json")]
+    assert _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0", ("mpmath",)) == []
+
+
 _BREAK_IDENTITY = """
 from fractions import Fraction
 from subent import identities
