@@ -13,15 +13,11 @@ DEFAULT_CHUNK = 1024
 
 _EXPORTS = {
     "closedform": (
-        "ExactValue",
         "average_coherence_exact",
         "average_entropy_exact",
         "average_subentropy_exact",
-        "average_subentropy_series",
         "harmonic",
-        "isospectral_average_coherence",
         "levy_coherence_bound",
-        "levy_coherence_bound_half",
         "normalization_integral",
     ),
     "entangle": ("average_embedded_entanglement",),

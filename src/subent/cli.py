@@ -4,7 +4,8 @@ Output is a record stream (JSON lines or CSV) whose first record is the run
 manifest; all numeric payload below the manifest is reproduced byte for byte
 by any rerun with an equal manifest, independent of the worker count.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 bound or
-identity violation (some record has `ok` or `holds` false).
+identity violation (some record has `ok` or `holds` false, or a
+`series_residual` or `consistency_residual` other than "0").
 """
 
 from __future__ import annotations
@@ -525,6 +526,13 @@ def _build_parser() -> tuple[_Parser, set[str]]:
     return parser, {"command", *vars(common.parse_args([]))}
 
 
+def _violates(row: dict) -> bool:
+    """A failed bound or identity, or a nonzero exact residual."""
+    return (row.get("ok") is False or row.get("holds") is False
+            or row.get("series_residual", "0") != "0"
+            or row.get("consistency_residual", "0") != "0")
+
+
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
@@ -586,8 +594,7 @@ def main(argv=None) -> int:
                 pass  # the reader stopped early; the records still decide the exit code
             except OSError as exc:  # a full disk, say
                 raise UsageError(f"cannot write the records to standard output: {exc}") from exc
-        violation = any(row.get("ok") is False or row.get("holds") is False for row in rows)
-        return EXIT_VIOLATION if violation else EXIT_OK
+        return EXIT_VIOLATION if any(map(_violates, rows)) else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,24 +2,20 @@
 
 Integer-parameter averages are evaluated in exact rational arithmetic
 (digamma differences at integers reduce to harmonic differences, Gamma
-ratios to integer recurrences), because the alternating series below cancel
-catastrophically in floats beyond m of about 15. Harmonic numbers are kept
-as integer numerators over one common denominator, in one table that grows
-on demand, so the series terms are summed as integers and a single
+ratios to integer recurrences), because the alternating subentropy series
+cancels catastrophically in floats beyond m of about 15. Harmonic numbers
+are kept as integer numerators over one common denominator, in one table
+that grows on demand, so series terms are summed as integers and a single
 `Fraction` is reduced per result. Real-parameter Gamma products are
-evaluated in log-Gamma space.
+evaluated in log-Gamma space. Only the standard library is imported.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionOrder, DomainError
-
-if TYPE_CHECKING:
-    from .qcore import Spectrum
 
 _LN2 = math.log(2.0)
 
@@ -63,13 +59,6 @@ def _lcm_upto(top: int) -> int:
     while len(values) > 1:
         values = [math.lcm(*values[i:i + 2]) for i in range(0, len(values), 2)]
     return values[0]
-
-
-class ExactValue(NamedTuple):
-    """An exact rational together with its float projection."""
-
-    exact: Fraction
-    approx: float
 
 
 def harmonic(k: int) -> Fraction:
@@ -134,35 +123,11 @@ def harmonic_weighted_sum(terms: list[int], top: int) -> Fraction:
     return Fraction(sum(t * numerators[top - k] for k, t in enumerate(terms)), denominator)
 
 
-def average_subentropy_series(m: int, alpha: int) -> ExactValue:
-    """Average subentropy under the (alpha, 1) eigenvalue measure, summed exactly.
-
-    The digamma/Gamma series evaluated here is
-
-        (1 / (m (m + alpha - 1))) sum_{k=0}^{m-1} g_k u_k,
-        g_k = psi(m(m+alpha-1) + 1) - psi(2(m-1) + alpha + 1 - k),
-        u_k = (-1)^k Gamma(2(m-1)+alpha+1-k)
-              / (Gamma(k+1) Gamma(m-k) Gamma(m+alpha-1-k)),
-
-    which for integer alpha is an exact rational: the Euler constants in the
-    digammas cancel and every Gamma is a factorial. The u_k are the integer
-    `gamma_ratio_terms(m, m + alpha - 1)`, so the sum splits into
-    H_{scale} sum_k u_k - sum_k u_k H_{2(m-1)+alpha-k}, and only the second
-    part has a denominator.
-    """
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    if alpha < 1 or int(alpha) != alpha:
-        raise DomainError("exact summation needs an integer alpha >= 1")
-    n = m + int(alpha) - 1
-    a, denominator = harmonic_numerators(m * n)
-    value = Fraction(subentropy_series_numerator(m, n, a), m * n * denominator)
-    return ExactValue(value, float(value))
-
-
 def subentropy_series_numerator(m: int, n: int, a: list[int]) -> int:
-    """m n L times `average_subentropy_series(m, n - m + 1)`, from harmonic
-    numerators with H_k = a[k] / L up to k = m n (which bounds m + n - 1)."""
+    """m n L times the average subentropy's digamma/Gamma series
+    (1/(mn)) sum_k u_k (psi(mn + 1) - psi(m + n - k)), u = `gamma_ratio_terms(m, n)`,
+    from harmonic numerators H_k = a[k] / L up to k = m n; the digammas' Euler
+    constants cancel, so only the H_{m+n-1-k} part has a denominator."""
     u = gamma_ratio_terms(m, n)
     return a[m * n] * sum(u) - sum(t * a[m + n - 1 - k] for k, t in enumerate(u))
 
@@ -192,14 +157,6 @@ def average_coherence_exact(m: int, n: int) -> Fraction:
     return Fraction(m - 1, 2 * n)
 
 
-def isospectral_average_coherence(spec: Spectrum) -> float:
-    """Haar-average coherence on one isospectral orbit: H_m - 1 + Q - S."""
-    from . import qcore  # numpy and mpmath, which the exact forms never need
-
-    base = float(harmonic(spec.m)) - 1.0
-    return base + qcore.subentropy(spec) - qcore.von_neumann_entropy(spec)
-
-
 def levy_coherence_bound(m: int, n: int, eps: float) -> float:
     """Concentration bound 2 exp(-m n eps^2 / (144 pi^3 ln2 (ln m)^2)).
 
@@ -213,20 +170,4 @@ def levy_coherence_bound(m: int, n: int, eps: float) -> float:
     if eps <= 0:
         raise DomainError("eps must be positive")
     exponent = m * n * eps**2 / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
-    return 2.0 * math.exp(-exponent)
-
-
-def levy_coherence_bound_half(m: int, eps: float) -> float:
-    """Square-dimension deviation-from-one-half bound with the 576 constant.
-
-    Valid once the average itself is within eps/2 of one half, which is
-    exactly the condition m > 1/eps.
-    """
-    if m < 3:
-        raise DomainError("the concentration bound needs m >= 3")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if m <= 1.0 / eps:
-        raise DomainError(f"need m > 1/eps, got m={m}, eps={eps:g}")
-    exponent = m**2 * eps**2 / (576.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
     return 2.0 * math.exp(-exponent)

@@ -208,16 +208,14 @@ def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
     return value
 
 
-def selberg_quadrature_oracle(m: int, alpha: float, gamma: float = 1.0) -> float:
+def selberg_quadrature_oracle(m: int, alpha: float) -> float:
     """Quadrature value of the trace-constrained Vandermonde-squared integral.
 
     Integrates delta(1 - sum) |Vandermonde|^2 prod x^(alpha-1) directly, as an
-    independent check on the Gamma-product evaluation. Only the quadratic
-    Vandermonde power (gamma = 1) is integrable here, and only m in {2, 3}
-    keeps the dimension low enough for certified adaptive quadrature.
+    independent check on the Gamma-product evaluation at gamma = 1. Only
+    m in {2, 3} keeps the dimension low enough for certified adaptive
+    quadrature.
     """
-    if gamma != 1.0:
-        raise DomainError("the quadrature oracle is fixed at gamma = 1")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     if m not in QUADRATURE_TARGETS:

@@ -6,9 +6,12 @@ This module keeps the second route the tests compare that one with: value
 types for one density matrix or pure state, validated on construction;
 their spectrum, dephasing, coherence and partial trace; Haar unitaries,
 Haar pure states and isospectral orbits from the same Philox streams; the
-isospectral and Lipschitz Monte Carlo checks; the Selberg integral; the
-simplex quadrature with its scalar m = 3 integrand; and the two exceptions
-only these raise. No `subent` command reaches any of it.
+isospectral and Lipschitz Monte Carlo checks, with the isospectral average
+coherence H_m - 1 + Q - S they meet; the exact digamma/Gamma series for the
+average subentropy (`ExactValue`) and the square-dimension Lévy bound; the
+Selberg integral; the simplex quadrature with its scalar m = 3 integrand;
+and the two exceptions only these raise. No `subent` command reaches any
+of it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,18 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from subent import DEFAULT_CHUNK
-from subent.closedform import _check_pair, harmonic
+from subent.closedform import (
+    _LN2,
+    _check_pair,
+    harmonic,
+    harmonic_numerators,
+    subentropy_series_numerator,
+)
 from subent.errors import ConvergenceFailure, DomainError, SubentError
 from subent.identities import QUADRATURE_TARGETS
 from subent.montecarlo import MonteCarloEstimate, _merge, _run_ordered, _tasks
@@ -307,6 +317,12 @@ def estimate_isospectral_coherence(
     return _merge(_run_ordered(_isospectral_chunk, tasks, workers))
 
 
+def isospectral_average_coherence(spec: Spectrum) -> float:
+    """Haar-average coherence on one isospectral orbit: H_m - 1 + Q - S."""
+    base = float(harmonic(spec.m)) - 1.0
+    return base + subentropy(spec) - von_neumann_entropy(spec)
+
+
 def _pure_pair_values(states: np.ndarray, m: int, n: int, which: str) -> np.ndarray:
     mats = states.reshape(-1, m, n)
     diag = np.square(np.abs(mats)).sum(axis=2)
@@ -378,6 +394,55 @@ def digamma_integer_diff(a: int, b: int) -> Fraction:
     if a < 1 or b < 1:
         raise DomainError("digamma differences need positive integer arguments")
     return harmonic(a - 1) - harmonic(b - 1)
+
+
+class ExactValue(NamedTuple):
+    """An exact rational together with its float projection."""
+
+    exact: Fraction
+    approx: float
+
+
+def average_subentropy_series(m: int, alpha: int) -> ExactValue:
+    """Average subentropy under the (alpha, 1) eigenvalue measure, summed exactly.
+
+    The digamma/Gamma series evaluated here is
+
+        (1 / (m (m + alpha - 1))) sum_{k=0}^{m-1} g_k u_k,
+        g_k = psi(m(m+alpha-1) + 1) - psi(2(m-1) + alpha + 1 - k),
+        u_k = (-1)^k Gamma(2(m-1)+alpha+1-k)
+              / (Gamma(k+1) Gamma(m-k) Gamma(m+alpha-1-k)),
+
+    which for integer alpha is an exact rational: the Euler constants in the
+    digammas cancel and every Gamma is a factorial. The u_k are the integer
+    `gamma_ratio_terms(m, m + alpha - 1)`, so the sum splits into
+    H_{scale} sum_k u_k - sum_k u_k H_{2(m-1)+alpha-k}, and only the second
+    part has a denominator.
+    """
+    if m < 1:
+        raise DomainError("m must be a positive integer")
+    if alpha < 1 or int(alpha) != alpha:
+        raise DomainError("exact summation needs an integer alpha >= 1")
+    n = m + int(alpha) - 1
+    a, denominator = harmonic_numerators(m * n)
+    value = Fraction(subentropy_series_numerator(m, n, a), m * n * denominator)
+    return ExactValue(value, float(value))
+
+
+def levy_coherence_bound_half(m: int, eps: float) -> float:
+    """Square-dimension deviation-from-one-half bound with the 576 constant.
+
+    Valid once the average itself is within eps/2 of one half, which is
+    exactly the condition m > 1/eps.
+    """
+    if m < 3:
+        raise DomainError("the concentration bound needs m >= 3")
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    if m <= 1.0 / eps:
+        raise DomainError(f"need m > 1/eps, got m={m}, eps={eps:g}")
+    exponent = m**2 * eps**2 / (576.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
+    return 2.0 * math.exp(-exponent)
 
 
 def _selberg_domain(m: int, alpha: float, beta: float, gamma: float) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 import oracles
 from reference import (
     DensityMatrix,
+    average_subentropy_series,
     induced_mixed_state,
     lipschitz_check,
     relative_entropy_coherence,
@@ -27,7 +28,6 @@ from subent import (
     average_embedded_entanglement,
     average_entropy_exact,
     average_subentropy_exact,
-    average_subentropy_series,
     concentration_sweep,
     estimate_functional,
     gamma_ratio_sum_harmonic,

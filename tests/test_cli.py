@@ -12,7 +12,16 @@ import pytest
 
 import oracles
 from subent import closedform, estimate_functional, pool
-from subent.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _emit, _z_score, main
+from subent.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    _emit,
+    _violates,
+    _z_score,
+    main,
+)
 
 
 # The pooled-quadrature tests need two CPUs this process may use; below that
@@ -415,6 +424,17 @@ class TestViolationExit:
 
 
 class TestRecordsDecideExit:
+    @pytest.mark.parametrize("row, expected", [
+        ({"record": "formula", "series_residual": "0", "consistency_residual": "0"}, False),
+        ({"record": "formula", "series_residual": "1/7", "consistency_residual": "0"}, True),
+        ({"record": "formula", "series_residual": "0", "consistency_residual": "-1/7"}, True),
+        ({"record": "identity", "holds": True}, False),
+        ({"record": "identity", "holds": False}, True),
+        ({"record": "tail", "ok": False}, True),
+    ])
+    def test_which_records_violate(self, row, expected):
+        assert _violates(row) is expected
+
     def test_identity_violation_exits_three(self, tmp_path, monkeypatch):
         from subent.identities import IdentityReport
 

@@ -5,7 +5,13 @@ import pytest
 from scipy import integrate
 
 import oracles
-from reference import digamma_integer_diff, selberg_integral
+from reference import (
+    average_subentropy_series,
+    digamma_integer_diff,
+    isospectral_average_coherence,
+    levy_coherence_bound_half,
+    selberg_integral,
+)
 from subent import closedform
 from subent import (
     DimensionOrder,
@@ -15,11 +21,8 @@ from subent import (
     average_coherence_exact,
     average_entropy_exact,
     average_subentropy_exact,
-    average_subentropy_series,
     harmonic,
-    isospectral_average_coherence,
     levy_coherence_bound,
-    levy_coherence_bound_half,
     normalization_integral,
     subentropy,
     von_neumann_entropy,

@@ -130,8 +130,6 @@ class TestSelbergQuadratureOracle:
             selberg_quadrature_oracle(4, 1.0)
         with pytest.raises(DomainError):
             selberg_quadrature_oracle(2, -1.0)
-        with pytest.raises(DomainError):
-            selberg_quadrature_oracle(2, 1.0, gamma=2.0)
 
 
 class TestAomotoQuadratureOracle:

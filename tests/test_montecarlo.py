@@ -12,6 +12,7 @@ from reference import (
     _lipschitz_ratios,
     estimate_isospectral_coherence,
     haar_blocks,
+    isospectral_average_coherence,
     lipschitz_check,
     pure_blocks,
 )
@@ -29,7 +30,6 @@ from subent import (
     estimate_functional,
     estimate_induced,
     harmonic,
-    isospectral_average_coherence,
     tail_experiment,
 )
 from subent import montecarlo, pool

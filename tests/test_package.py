@@ -14,10 +14,8 @@ import subent
 # Every name `subent` exports, by the submodule that defines it.
 PUBLIC = {
     "closedform": [
-        "ExactValue", "average_coherence_exact", "average_entropy_exact",
-        "average_subentropy_exact", "average_subentropy_series", "harmonic",
-        "isospectral_average_coherence", "levy_coherence_bound", "levy_coherence_bound_half",
-        "normalization_integral",
+        "average_coherence_exact", "average_entropy_exact", "average_subentropy_exact",
+        "harmonic", "levy_coherence_bound", "normalization_integral",
     ],
     "entangle": ["average_embedded_entanglement"],
     "errors": ["ConvergenceFailure", "DimensionOrder", "DomainError", "QuadratureFailure",
@@ -37,7 +35,10 @@ PUBLIC = {
 # Names only the tests use, now in tests/reference.py, by the submodule that
 # exported them.
 TEST_ONLY = {
-    "closedform": ["digamma_integer_diff", "selberg_integral"],
+    "closedform": [
+        "ExactValue", "average_subentropy_series", "digamma_integer_diff",
+        "isospectral_average_coherence", "levy_coherence_bound_half", "selberg_integral",
+    ],
     "errors": ["DimensionMismatch", "SingularSample"],
     "montecarlo": ["LipschitzReport", "estimate_isospectral_coherence", "lipschitz_check"],
     "qcore": [
@@ -110,6 +111,24 @@ def test_cli_starts_without_the_quadrature_modules(tmp_path):
     assert proc.stdout.split() == ["[]", "False"]
 
 
+def test_closedform_loads_no_numeric_module():
+    # the exact layer runs on the standard library; numpy and mpmath come
+    # only with the commands that draw samples
+    code = (
+        "import sys\n"
+        "import subent.closedform\n"
+        "print(sorted(set(sys.modules) & {'subent.qcore', 'numpy', 'mpmath'}))"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         subent.no_such_name  # noqa: B018
@@ -148,3 +167,16 @@ def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["returncodes"] == [0, 0, 0], proc.stderr
     assert report["layers"]["entangle.calls"] == 1
+
+
+def test_benchmark_selftest_accepts_no_broken_output():
+    # perfbench/selftest.py feeds broken command outputs to the benchmark's
+    # output checks; a record change that lets one through fails here
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest: 0 problems" in proc.stdout.splitlines()

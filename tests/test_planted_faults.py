@@ -1,0 +1,98 @@
+"""Planted faults: each case breaks one name in-process and checks that the
+command's exit code and one record or stderr line catch it.
+
+`monkeypatch` restores every name after its case; no file of the package
+changes. Every command runs at `--workers 1`, so the patched name is the one
+the tasks see.
+"""
+
+import json
+
+import pytest
+
+from subent import closedform, identities, quadpack
+from subent.cli import EXIT_NUMERICAL, EXIT_VIOLATION, main
+
+
+def run(tmp_path, argv):
+    out = tmp_path / "records.json"
+    code = main(argv + ["--workers", "1", "--out", str(out)])
+    lines = out.read_text(encoding="utf-8").splitlines() if out.exists() else []
+    return code, [json.loads(line) for line in lines[1:]]
+
+
+@pytest.fixture
+def h7_off_by_one(monkeypatch):
+    """H_7's numerator raised by one in a table grown to H_14 first. Later
+    growth extends the correct H_14, so H_7 alone is wrong; a fault planted in
+    the top entry would pass into every H_k grown after it, and the residuals
+    would cancel."""
+    table = closedform._HarmonicTable()
+    table.grow(14)
+    table.numerators[7] += 1
+    monkeypatch.setattr(closedform, "_harmonics", table)
+
+
+def test_series_numerator_fault_fails_formula(tmp_path, monkeypatch):
+    # the residual is 1 / (m n L), and L depends on how far the table has grown
+    monkeypatch.setattr(closedform, "_harmonics", closedform._HarmonicTable())
+    numerator = closedform.subentropy_series_numerator
+    monkeypatch.setattr(closedform, "subentropy_series_numerator",
+                        lambda m, n, a: numerator(m, n, a) + 1)
+    code, (row,) = run(tmp_path, ["formula", "--m", "3", "--n", "4"])
+    assert code == EXIT_VIOLATION
+    assert row["series_residual"] == "1/332640"
+
+
+def test_gamma_ratio_term_fault_fails_formula(tmp_path, monkeypatch):
+    terms = closedform.gamma_ratio_terms
+    monkeypatch.setattr(closedform, "gamma_ratio_terms",
+                        lambda m, n: terms(m, n)[:-1] + [terms(m, n)[-1] + 1])
+    code, (row,) = run(tmp_path, ["formula", "--m", "3", "--n", "4"])
+    assert code == EXIT_VIOLATION
+    assert row["series_residual"] == "28271/332640"
+
+
+def test_harmonic_table_fault_fails_formula(tmp_path, h7_off_by_one):
+    code, (row,) = run(tmp_path, ["formula", "--m", "2", "--n", "7"])
+    assert code == EXIT_VIOLATION
+    assert row["series_residual"] == "1/90090"
+
+
+def test_harmonic_table_fault_fails_identities(tmp_path, h7_off_by_one):
+    code, rows = run(tmp_path, ["identities", "--max-m", "8", "--max-n", "8"])
+    assert code == EXIT_VIOLATION
+    failed = [row for row in rows if not row["holds"]]
+    assert failed
+    assert {row["name"] for row in failed} == {"gamma_ratio_sum_harmonic"}
+
+
+def test_aomoto_closed_form_fault_fails_quadrature(tmp_path, monkeypatch):
+    closed = identities.aomoto_moment_closed
+    monkeypatch.setattr(identities, "aomoto_moment_closed",
+                        lambda m, k, alpha: closed(m, k, alpha) * (1 + 1e-3))
+    code, rows = run(tmp_path, ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"])
+    assert code == EXIT_VIOLATION
+    failed = [row for row in rows if row.get("ok") is False]
+    assert len(failed) == 20
+    assert {row["name"] for row in failed} == {"aomoto_moment"}
+
+
+def test_normalization_fault_fails_quadrature(tmp_path, monkeypatch):
+    log = closedform.normalization_integral_log
+    monkeypatch.setattr(closedform, "normalization_integral_log",
+                        lambda m, alpha, gamma: log(m, alpha, gamma) + 1e-3 * (m == 3))
+    code, rows = run(tmp_path, ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"])
+    assert code == EXIT_VIOLATION
+    failed = [row for row in rows if row.get("ok") is False]
+    assert [(row["name"], row["m"]) for row in failed] == [("selberg_simplex", 3)] * 4
+
+
+def test_kronrod_weight_fault_fails_quadrature(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(quadpack, "_WGK11", quadpack._WGK11 * 1.001)
+    code, rows = run(tmp_path, ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"])
+    assert code == EXIT_NUMERICAL
+    assert rows == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: 1-D error estimate ")
+    assert line.endswith(" above target")
