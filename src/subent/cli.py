@@ -269,9 +269,10 @@ def _cmd_formula(args, settings) -> list[dict]:
     else:
         _check_pair(args, "formula (without ranges)", 1)
         pairs = [(args.m, args.n)]
-    # Every average is an integer numerator over the harmonic table's one
-    # denominator L (2nL for the entropy); each printed value is reduced once.
-    a, den = closedform.harmonic_numerators(max(m * n for m, n in pairs))
+    # Every average is an integer numerator over one harmonic denominator L
+    # (2nL for the entropy); each printed value is reduced once.
+    a, den = closedform.harmonic_numerators(
+        {k for m, n in pairs for k in (m * n, m, *range(n, m + n))})
     rows = []
     for m, n in pairs:
         mn, twice_n = m * n, 2 * n

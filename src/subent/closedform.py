@@ -4,15 +4,18 @@ Integer-parameter averages are evaluated in exact rational arithmetic
 (digamma differences at integers reduce to harmonic differences, Gamma
 ratios to integer recurrences), because the alternating subentropy series
 cancels catastrophically in floats beyond m of about 15. Harmonic numbers
-are kept as integer numerators over one common denominator, in one table
-that grows on demand, so series terms are summed as integers and a single
-`Fraction` is reduced per result. Real-parameter Gamma products are
-evaluated in log-Gamma space. Only the standard library is imported.
+come as integer numerators over one common denominator lcm(1..K), built
+per call for the requested k only, so series terms are summed as integers
+and a single `Fraction` is reduced per result; nothing is kept between
+calls. Real-parameter Gamma products are evaluated in log-Gamma space.
+Only the standard library is imported.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import DimensionOrder, DomainError
@@ -20,72 +23,58 @@ from .errors import DimensionOrder, DomainError
 _LN2 = math.log(2.0)
 
 
-class _HarmonicTable:
-    """H_0..H_top as integer numerators over one denominator lcm(1..top)."""
+def _reciprocal_sum(a: int, b: int) -> tuple[int, int]:
+    """(p, q) with 1/a + 1/(a+1) + ... + 1/(b-1) = p / q and q = lcm(a..b-1).
 
-    __slots__ = ("numerators", "denominator")
-
-    def __init__(self) -> None:
-        self.numerators = [0]
-        self.denominator = 1
-
-    def grow(self, top: int) -> None:
-        """Cover H_top; a new table is at least a quarter longer, so growing
-        one k at a time rescales the table a logarithmic number of times."""
-        have = len(self.numerators) - 1
-        if top <= have:
-            return
-        top = max(top, have + have // 4)
-        denominator = _lcm_upto(top)
-        factor = denominator // self.denominator
-        numerators = self.numerators
-        if factor != 1:
-            for k in range(1, have + 1):
-                numerators[k] *= factor
-        running = numerators[-1]
-        for j in range(have + 1, top + 1):
-            running += denominator // j
-            numerators.append(running)
-        self.denominator = denominator
+    A range longer than 128 terms is halved and the halves' sums added over
+    the lcm of their denominators. A shorter one is summed over its lcm in
+    neighbouring pairs 1/j + 1/(j+1) = (2j+1) / (j(j+1)), whose lcm is
+    j(j+1) because neighbours are coprime; an odd last term stands alone.
+    """
+    if b - a > 128:
+        mid = (a + b) // 2
+        p1, q1 = _reciprocal_sum(a, mid)
+        p2, q2 = _reciprocal_sum(mid, b)
+        g = math.gcd(q1, q2)
+        return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
+    paired = a + (b - a) // 2 * 2
+    dens = [*map(operator.mul, range(a, paired, 2), range(a + 1, paired, 2)), *range(paired, b)]
+    nums = [*range(2 * a + 1, 2 * paired, 4), *[1] * (b - paired)]
+    q = math.lcm(*dens)
+    return sum(map(operator.mul, nums, map(q.__floordiv__, dens))), q
 
 
-_harmonics = _HarmonicTable()
+def harmonic_numerators(indices: Iterable[int]) -> tuple[dict[int, int], int]:
+    """({k: A_k}, L) with H_k = A_k / L for each requested k, L = lcm(1..max k).
 
-
-def _lcm_upto(top: int) -> int:
-    """lcm(1..top) for top >= 1, from (top/2, top] alone, which every k <= top
-    divides a member of; pairwise, so no step grows the whole product by one factor."""
-    values = list(range(top // 2 + 1, top + 1))
-    while len(values) > 1:
-        values = [math.lcm(*values[i:i + 2]) for i in range(0, len(values), 2)]
-    return values[0]
+    Each stretch between consecutive requested k is summed over its own lcm,
+    L is the lcm of those, and the running sum is kept at the requested k
+    only, so memory is a few integers of L's size per requested k.
+    """
+    wanted = sorted(set(indices))
+    if wanted and wanted[0] < 0:
+        raise DomainError("harmonic numbers need k >= 0")
+    sums = [_reciprocal_sum(start + 1, k + 1) for start, k in zip([0, *wanted], wanted)]
+    denominator = math.lcm(*(q for _, q in sums))
+    numerators, running = {}, 0
+    for k, (p, q) in zip(wanted, sums):
+        running += p * (denominator // q)
+        numerators[k] = running
+    return numerators, denominator
 
 
 def harmonic(k: int) -> Fraction:
     """k-th harmonic number 1 + 1/2 + ... + 1/k, exactly; H_0 = 0."""
-    if k < 0:
-        raise DomainError("harmonic numbers need k >= 0")
-    _harmonics.grow(k)
-    return Fraction(_harmonics.numerators[k], _harmonics.denominator)
-
-
-def harmonic_numerators(top: int) -> tuple[list[int], int]:
-    """(A, L) with H_k = A[k] / L for every k <= top; L = lcm(1..K) for some K >= top.
-
-    A is the shared table itself, valid until the next call that grows it.
-    """
-    if top < 0:
-        raise DomainError("harmonic numbers need k >= 0")
-    _harmonics.grow(top)
-    return _harmonics.numerators, _harmonics.denominator
+    a, denominator = harmonic_numerators((k,))
+    return Fraction(a[k], denominator)
 
 
 def normalization_integral_log(m: int, alpha: float, gamma: float) -> float:
     """log of the trace-constrained eigenvalue integral whose reciprocal normalizes the measure."""
     if m < 1:
         raise DomainError("m must be a positive integer")
-    if alpha <= 0 or gamma <= 0:
-        raise DomainError("alpha and gamma must be positive")
+    if not (0 < alpha < math.inf and 0 < gamma < math.inf):
+        raise DomainError("alpha and gamma must be positive and finite")
     total = -math.lgamma(alpha * m + gamma * m * (m - 1))
     for j in range(1, m + 1):
         total += (
@@ -118,16 +107,16 @@ def gamma_ratio_terms(m: int, n: int) -> list[int]:
 
 
 def harmonic_weighted_sum(terms: list[int], top: int) -> Fraction:
-    """sum_k terms[k] H_{top-k}, summed in integers over the harmonic table's one denominator."""
-    numerators, denominator = harmonic_numerators(top)
+    """sum_k terms[k] H_{top-k}, summed in integers over one common denominator."""
+    numerators, denominator = harmonic_numerators(range(top - len(terms) + 1, top + 1))
     return Fraction(sum(t * numerators[top - k] for k, t in enumerate(terms)), denominator)
 
 
-def subentropy_series_numerator(m: int, n: int, a: list[int]) -> int:
+def subentropy_series_numerator(m: int, n: int, a: Mapping[int, int]) -> int:
     """m n L times the average subentropy's digamma/Gamma series
     (1/(mn)) sum_k u_k (psi(mn + 1) - psi(m + n - k)), u = `gamma_ratio_terms(m, n)`,
-    from harmonic numerators H_k = a[k] / L up to k = m n; the digammas' Euler
-    constants cancel, so only the H_{m+n-1-k} part has a denominator."""
+    from harmonic numerators H_k = a[k] / L at k = m n and k = n .. m+n-1; the
+    digammas' Euler constants cancel, so only the H_{m+n-1-k} part has a denominator."""
     u = gamma_ratio_terms(m, n)
     return a[m * n] * sum(u) - sum(t * a[m + n - 1 - k] for k, t in enumerate(u))
 
@@ -142,13 +131,15 @@ def _check_pair(m: int, n: int) -> None:
 def average_subentropy_exact(m: int, n: int) -> Fraction:
     """Average subentropy of the m-dimensional marginal: 1 + H_mn - H_m - H_n."""
     _check_pair(m, n)
-    return 1 + harmonic(m * n) - harmonic(m) - harmonic(n)
+    a, denominator = harmonic_numerators((m * n, m, n))
+    return 1 + Fraction(a[m * n] - a[m] - a[n], denominator)
 
 
 def average_entropy_exact(m: int, n: int) -> Fraction:
     """Page's average marginal entropy: H_mn - H_n - (m-1)/(2n)."""
     _check_pair(m, n)
-    return harmonic(m * n) - harmonic(n) - Fraction(m - 1, 2 * n)
+    a, denominator = harmonic_numerators((m * n, n))
+    return Fraction(a[m * n] - a[n], denominator) - Fraction(m - 1, 2 * n)
 
 
 def average_coherence_exact(m: int, n: int) -> Fraction:
@@ -167,7 +158,7 @@ def levy_coherence_bound(m: int, n: int, eps: float) -> float:
         raise DomainError("the concentration bound needs m >= 3")
     if n < m:
         raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError("eps must be positive and finite")
     exponent = m * n * eps**2 / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
     return 2.0 * math.exp(-exponent)

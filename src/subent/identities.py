@@ -85,8 +85,8 @@ def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:
     """
     if m < 1 or not 0 <= k <= m:
         raise DomainError(f"need 0 <= k <= m, got m={m}, k={k}")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     log = -math.lgamma(alpha * m + m * (m - 1) + k)
     for j in range(1, k + 1):
         log += math.log(alpha + (m - j))
@@ -203,7 +203,7 @@ def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
 def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
     """The simplex integral, certified to QUADRATURE_TARGETS[m] relative accuracy."""
     value, err = _simplex_integral(m, alpha, moment)
-    if err > QUADRATURE_TARGETS[m] * abs(value):
+    if not (math.isfinite(value) and err <= QUADRATURE_TARGETS[m] * abs(value)):
         raise QuadratureFailure(f"{m - 1}-D error estimate {err:.3g} above target")
     return value
 
@@ -216,8 +216,8 @@ def selberg_quadrature_oracle(m: int, alpha: float) -> float:
     m in {2, 3} keeps the dimension low enough for certified adaptive
     quadrature.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     if m not in QUADRATURE_TARGETS:
         raise DomainError("the quadrature oracle covers m in {2, 3}")
     return _simplex_quadrature(m, alpha, moment=0)
@@ -229,6 +229,6 @@ def aomoto_quadrature_oracle(m: int, k: int, alpha: float) -> float:
         raise DomainError("the quadrature oracle covers m in {2, 3}")
     if not 1 <= k <= m:
         raise DomainError(f"need 1 <= k <= m, got k={k}")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     return _simplex_quadrature(m, alpha, moment=k)

@@ -424,7 +424,7 @@ def average_subentropy_series(m: int, alpha: int) -> ExactValue:
     if alpha < 1 or int(alpha) != alpha:
         raise DomainError("exact summation needs an integer alpha >= 1")
     n = m + int(alpha) - 1
-    a, denominator = harmonic_numerators(m * n)
+    a, denominator = harmonic_numerators((m * n, *range(n, m + n)))
     value = Fraction(subentropy_series_numerator(m, n, a), m * n * denominator)
     return ExactValue(value, float(value))
 

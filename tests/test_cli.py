@@ -105,10 +105,9 @@ class TestFormula:
             for key in ("avg_subentropy", "avg_entropy", "avg_coherence", "series"):
                 assert row[f"{key}_float"] == float(Fraction(row[key])), (m, n, key)
 
-    def test_exact_fractions_of_any_size(self, tmp_path, monkeypatch):
+    def test_exact_fractions_of_any_size(self, tmp_path):
         # the integers of H_40000 run past CPython's default 4300-digit
         # int-to-str limit; the command used to die there, writing nothing
-        monkeypatch.setattr(closedform, "_harmonics", closedform._HarmonicTable())  # drop the table growth
         limit = sys.get_int_max_str_digits()
         code, text = run_to_file(tmp_path, "f.json", ["formula", "--m", "200", "--n", "200"])
         assert code == EXIT_OK

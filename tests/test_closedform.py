@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -40,16 +42,38 @@ class TestHarmonic:
         with pytest.raises(DomainError):
             harmonic(-1)
 
-    def test_table_grown_out_of_order_equals_fraction_sums(self, monkeypatch):
-        # each growth rescales the numerators to a new common denominator
-        monkeypatch.setattr(closedform, "_harmonics", closedform._HarmonicTable())
-        for k in (1600, 3, 2000, 40):
-            harmonic(k)
+    @pytest.mark.parametrize("indices", [
+        [0], [1], [2000], [1777], [1600, 3, 2000, 40, 3, 1600], [7, 0, 7, 1999, 2],
+        range(0, 2001), range(2000, -1, -13), {5, 1000, 333},
+    ], ids=lambda indices: repr(indices)[:24])
+    def test_numerators_on_any_index_set_equal_fraction_sums(self, indices):
         expected = oracles.harmonic_numbers(2000)
-        assert [harmonic(k) for k in range(2001)] == expected
-        numerators, denominator = closedform.harmonic_numerators(2000)
-        assert denominator == math.lcm(*range(1, len(numerators)))
-        assert all(Fraction(numerators[k], denominator) == expected[k] for k in range(2001))
+        numerators, denominator = closedform.harmonic_numerators(indices)
+        assert set(numerators) == set(indices)
+        assert denominator == math.lcm(*range(1, max(indices) + 1))
+        assert all(Fraction(a, denominator) == expected[k] for k, a in numerators.items())
+
+    def test_numerators_at_random_k_equal_term_by_term_sums(self):
+        rng = random.Random(25)
+        ks = [rng.randint(1, 10**4) for _ in range(5)]
+        numerators, denominator = closedform.harmonic_numerators(ks)
+        for k in ks:
+            assert Fraction(numerators[k], denominator) == sum(Fraction(1, j) for j in range(1, k + 1))
+            assert harmonic(k) == Fraction(numerators[k], denominator)
+
+    def test_numerators_reject_negative(self):
+        with pytest.raises(DomainError):
+            closedform.harmonic_numerators([3, -1])
+
+    def test_memory_does_not_grow_with_k_squared(self):
+        # a table of every H_j up to k held about 1.44 k^2 bits (74 MiB at k = 20000)
+        tracemalloc.start()
+        try:
+            harmonic(20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestGammaRatioTerms:
@@ -120,6 +144,11 @@ class TestNormalizationIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             normalization_integral(2, 0.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                normalization_integral_log(3, bad, 1.0)
+            with pytest.raises(DomainError):
+                normalization_integral_log(3, 1.0, bad)
 
 
 class TestSeriesForm:
@@ -258,6 +287,9 @@ class TestLevyBounds:
             levy_coherence_bound(4, 3, 0.1)
         with pytest.raises(DomainError):
             levy_coherence_bound(3, 3, 0.0)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                levy_coherence_bound(3, 3, eps)
 
     def test_half_bound_is_theorem_form_at_half_eps(self):
         for m in (5, 10, 40):

@@ -10,6 +10,7 @@ from subent import (
     DimensionOrder,
     DomainError,
     IdentityReport,
+    QuadratureFailure,
     aomoto_quadrature_oracle,
     gamma_ratio_sum_harmonic,
     gamma_ratio_sum_plain,
@@ -130,6 +131,16 @@ class TestSelbergQuadratureOracle:
             selberg_quadrature_oracle(4, 1.0)
         with pytest.raises(DomainError):
             selberg_quadrature_oracle(2, -1.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                selberg_quadrature_oracle(2, alpha)
+
+    @pytest.mark.parametrize("value, err", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                            (math.nan, math.nan)])
+    def test_non_finite_integral_is_not_certified(self, monkeypatch, value, err):
+        monkeypatch.setattr(identities, "_simplex_integral", lambda m, alpha, moment: (value, err))
+        with pytest.raises(QuadratureFailure):
+            selberg_quadrature_oracle(2, 1.0)
 
 
 class TestAomotoQuadratureOracle:
@@ -164,6 +175,11 @@ class TestAomotoQuadratureOracle:
             aomoto_quadrature_oracle(2, 3, 1.0)
         with pytest.raises(DomainError):
             aomoto_quadrature_oracle(5, 1, 1.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                aomoto_quadrature_oracle(2, 1, alpha)
+            with pytest.raises(DomainError):
+                aomoto_moment_closed(3, 1, alpha)
 
 
 _INTEGRALS = [(m, alpha, moment) for m in (2, 3) for alpha in (1.0, 1.5, 2.0, 3.0)

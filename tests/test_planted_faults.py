@@ -23,19 +23,21 @@ def run(tmp_path, argv):
 
 @pytest.fixture
 def h7_off_by_one(monkeypatch):
-    """H_7's numerator raised by one in a table grown to H_14 first. Later
-    growth extends the correct H_14, so H_7 alone is wrong; a fault planted in
-    the top entry would pass into every H_k grown after it, and the residuals
-    would cancel."""
-    table = closedform._HarmonicTable()
-    table.grow(14)
-    table.numerators[7] += 1
-    monkeypatch.setattr(closedform, "_harmonics", table)
+    """H_7's numerator raised by one wherever 7 is requested; every other H_k
+    and the denominator stay right, so the residuals cannot cancel."""
+    numerators = closedform.harmonic_numerators
+
+    def faulty(indices):
+        a, denominator = numerators(indices)
+        if 7 in a:
+            a[7] += 1
+        return a, denominator
+
+    monkeypatch.setattr(closedform, "harmonic_numerators", faulty)
 
 
 def test_series_numerator_fault_fails_formula(tmp_path, monkeypatch):
-    # the residual is 1 / (m n L), and L depends on how far the table has grown
-    monkeypatch.setattr(closedform, "_harmonics", closedform._HarmonicTable())
+    # the residual is 1 / (m n L) with L = lcm(1..m n)
     numerator = closedform.subentropy_series_numerator
     monkeypatch.setattr(closedform, "subentropy_series_numerator",
                         lambda m, n, a: numerator(m, n, a) + 1)
