@@ -144,7 +144,7 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"unknown config key {key!r} in {path}; "
                                      f"known keys: {', '.join(_CONFIG_KEYS)}")
                 settings[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return settings
 
@@ -401,7 +401,7 @@ def _cmd_identities(args, settings) -> list[dict]:
     ]
     for (m, k, alpha), value in zip(integrals, results):
         if k is None:
-            name, closed = "selberg_simplex", closedform.normalization_integral(m, alpha, 1.0)
+            name, closed = "selberg_simplex", closedform.normalization_integral(m, alpha)
         else:
             name, closed = "aomoto_moment", identities.aomoto_moment_closed(m, k, alpha)
         tolerance = identities.QUADRATURE_TARGETS[m]

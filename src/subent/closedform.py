@@ -7,7 +7,7 @@ cancels catastrophically in floats beyond m of about 15. Harmonic numbers
 come as integer numerators over one common denominator lcm(1..K), built
 per call for the requested k only, so series terms are summed as integers
 and a single `Fraction` is reduced per result; nothing is kept between
-calls. Real-parameter Gamma products are evaluated in log-Gamma space.
+calls. The one Selberg-Aomoto Gamma product is evaluated in log-Gamma space.
 Only the standard library is imported.
 """
 
@@ -69,25 +69,30 @@ def harmonic(k: int) -> Fraction:
     return Fraction(a[k], denominator)
 
 
-def normalization_integral_log(m: int, alpha: float, gamma: float) -> float:
-    """log of the trace-constrained eigenvalue integral whose reciprocal normalizes the measure."""
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    if not (0 < alpha < math.inf and 0 < gamma < math.inf):
-        raise DomainError("alpha and gamma must be positive and finite")
-    total = -math.lgamma(alpha * m + gamma * m * (m - 1))
+def aomoto_moment_log(m: int, k: int, alpha: float) -> float:
+    """log of the k-th Aomoto moment of the trace-constrained Selberg integral at unit
+    Vandermonde power, k = 0 the integral itself: prod_{j<=k} (alpha + m - j)
+    * prod_{j<=m} Gamma(alpha + j - 1) Gamma(1 + j) / Gamma(alpha m + m(m - 1) + k)."""
+    if m < 1 or not 0 <= k <= m:
+        raise DomainError(f"need 0 <= k <= m, got m={m}, k={k}")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
+    total = -math.lgamma(alpha * m + m * (m - 1) + k)
+    for j in range(1, k + 1):
+        total += math.log(alpha + (m - j))
     for j in range(1, m + 1):
-        total += (
-            math.lgamma(alpha + gamma * (j - 1))
-            + math.lgamma(1 + gamma * j)
-            - math.lgamma(1 + gamma)
-        )
+        total += math.lgamma(alpha + (j - 1)) + math.lgamma(1 + j)
     return total
 
 
-def normalization_integral(m: int, alpha: float, gamma: float) -> float:
+def normalization_integral_log(m: int, alpha: float) -> float:
+    """log of the trace-constrained eigenvalue integral whose reciprocal normalizes the measure."""
+    return aomoto_moment_log(m, 0, alpha)
+
+
+def normalization_integral(m: int, alpha: float) -> float:
     """Total mass of the unnormalized eigenvalue density on the simplex."""
-    return math.exp(normalization_integral_log(m, alpha, gamma))
+    return math.exp(normalization_integral_log(m, alpha))
 
 
 def gamma_ratio_terms(m: int, n: int) -> list[int]:

@@ -13,7 +13,8 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .closedform import _check_pair, gamma_ratio_terms, harmonic, harmonic_weighted_sum
+from .closedform import (_check_pair, aomoto_moment_log, gamma_ratio_terms, harmonic,
+                         harmonic_weighted_sum)
 from .errors import DomainError, QuadratureFailure
 
 # `quadpack` is imported by the quadrature oracles only, so the exact checks
@@ -77,22 +78,8 @@ def riordan_identity_check(m: int, n: int) -> IdentityReport:
 
 
 def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:
-    """Closed form of the k-moment simplex integral assembled in log space.
-
-    For the unit Vandermonde power this is
-    prod_{j<=k}(alpha + m - j) * prod_j Gamma(alpha+j-1) Gamma(1+j)
-    / Gamma(alpha m + m(m-1) + k).
-    """
-    if m < 1 or not 0 <= k <= m:
-        raise DomainError(f"need 0 <= k <= m, got m={m}, k={k}")
-    if not 0 < alpha < math.inf:
-        raise DomainError("alpha must be positive and finite")
-    log = -math.lgamma(alpha * m + m * (m - 1) + k)
-    for j in range(1, k + 1):
-        log += math.log(alpha + (m - j))
-    for j in range(1, m + 1):
-        log += math.lgamma(alpha + j - 1) + math.lgamma(1 + j)
-    return math.exp(log)
+    """The k-moment simplex integral: `closedform.aomoto_moment_log` exponentiated."""
+    return math.exp(aomoto_moment_log(m, k, alpha))
 
 
 def _triangle_quad(row: Callable[[float], Callable[[float], float]], epsabs: float,
@@ -212,7 +199,7 @@ def selberg_quadrature_oracle(m: int, alpha: float) -> float:
     """Quadrature value of the trace-constrained Vandermonde-squared integral.
 
     Integrates delta(1 - sum) |Vandermonde|^2 prod x^(alpha-1) directly, as an
-    independent check on the Gamma-product evaluation at gamma = 1. Only
+    independent check on the Gamma-product evaluation in `closedform`. Only
     m in {2, 3} keeps the dimension low enough for certified adaptive
     quadrature.
     """

@@ -9,7 +9,7 @@ depend only on (seed, chunk size, sample count) and never on how many
 workers executed the chunks. Within a chunk the states arrive in the
 cache-sized blocks of `sampling`; only per-sample rows (spectra, diagonals,
 functional values) are kept for the whole chunk, and a chunk too large to
-allocate them is a DomainError. A failed sample aborts the whole run;
+allocate them, or a sample too large to draw, is a DomainError. A failed sample aborts the whole run;
 nothing is resampled, since that would bias the measure.
 """
 
@@ -103,7 +103,10 @@ class ConcentrationRow:
 def _chunk_sizes(samples: int, chunk: int) -> list[int]:
     if chunk < 1:
         raise DomainError("chunk size must be positive")
-    sizes = [chunk] * (samples // chunk)
+    try:
+        sizes = [chunk] * (samples // chunk)
+    except (MemoryError, OverflowError) as exc:  # OverflowError: past the largest list
+        raise DomainError(f"{-(-samples // chunk)} chunks are too many to list") from exc
     if samples % chunk:
         sizes.append(samples % chunk)
     return sizes
@@ -144,8 +147,13 @@ def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
         lams, diag = np.empty((size, m)), np.empty((size, m))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array size
         raise DomainError(f"a chunk of {size} samples is too large to allocate: {exc}") from exc
-    stop = 0
-    for rho in induced_blocks(m, n, RngStream(seed, index), size):
+    blocks, stop = induced_blocks(m, n, RngStream(seed, index), size), 0
+    while stop < size:
+        try:
+            rho = next(blocks)
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array size
+            raise DomainError(f"one sample's {m}x{n} = {m * n} Gaussians are too many to draw: "
+                              f"{exc}") from exc
         start, stop = stop, stop + len(rho)
         lams[start:stop] = np.linalg.eigvalsh(rho)
         diag[start:stop] = np.einsum("sii->si", rho).real

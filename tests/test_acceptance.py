@@ -161,7 +161,7 @@ def test_06_quadrature_oracles():
         tolerance = QUADRATURE_TARGETS[m]
         for alpha in (1.0, 1.5, 2.0, 3.0):
             value = selberg_quadrature_oracle(m, alpha)
-            closed = normalization_integral(m, alpha, 1.0)
+            closed = normalization_integral(m, alpha)
             if abs(value - closed) > tolerance * abs(closed):
                 failures.append(("selberg", m, alpha))
             for k in range(1, m + 1):

@@ -381,6 +381,16 @@ class TestSettingsPrecedence:
         assert "'sed'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undecodable_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "subent.cfg"
+        config.write_bytes(b"seed=\xff\xfe\n")
+        code = main(["formula", "--m", "2", "--n", "2", "--config", str(config)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"usage error: cannot read config file {config}: ")
+
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
@@ -560,6 +570,38 @@ class TestFailurePaths:
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("n", [10**20 - 1, 2**40])
+    def test_sample_too_large_to_draw_exits_two(self, tmp_path, capsys, n, workers):
+        # one 2 x n sample's uniforms are past numpy's largest array (n near 10**20)
+        # or 32 TiB (n = 2**40), so neither draw touches memory
+        out = tmp_path / "d.json"
+        code = main(["estimate", "--m", "2", "--n", str(n), "--samples", "2", "--chunk", "1",
+                     "--workers", workers, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"numerical failure: one sample's 2x{n} = {2 * n} ")
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("samples, chunk, chunks", [
+        (10**20 - 1, [], 97656250000000000),  # the default chunk of 1024
+        (2**62, ["--chunk", "1"], 2**62),
+    ], ids=["default-chunk", "chunk-1"])
+    def test_chunk_list_too_large_to_build_exits_two(self, tmp_path, capsys, samples, chunk,
+                                                     chunks):
+        # lists this long are past any address space, so Python refuses them at once
+        out = tmp_path / "l.json"
+        code = main(["estimate", "--m", "2", "--n", "3", "--samples", str(samples), *chunk,
+                     "--workers", "1", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {chunks} chunks are too many to list\n"
+        assert not out.exists()
 
 
 class TestJsonRecords:

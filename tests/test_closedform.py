@@ -124,17 +124,16 @@ class TestSelbergIntegral:
 
 class TestNormalizationIntegral:
     def test_m1_alpha1(self):
-        for gamma in (0.5, 1.0, 3.0):
-            assert normalization_integral(1, 1.0, gamma) == pytest.approx(1.0, rel=1e-14)
+        assert normalization_integral(1, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_m2_value(self):
         # reduces to int_0^1 (2l - 1)^2 dl = 1/3
-        assert normalization_integral(2, 1.0, 1.0) == pytest.approx(1 / 3, rel=1e-13)
+        assert normalization_integral(2, 1.0) == pytest.approx(1 / 3, rel=1e-13)
 
     def test_log_form_consistency(self):
         # multiplying back the leading Gamma factor must recover the plain product
         for m, alpha in ((2, 1.0), (3, 2.5), (5, 1.0)):
-            log_i = normalization_integral_log(m, alpha, 1.0)
+            log_i = normalization_integral_log(m, alpha)
             log_product = sum(
                 math.lgamma(alpha + j - 1) + math.lgamma(1 + j) for j in range(1, m + 1)
             )
@@ -143,12 +142,48 @@ class TestNormalizationIntegral:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            normalization_integral(2, 0.0, 1.0)
+            normalization_integral(2, 0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                normalization_integral_log(3, bad, 1.0)
+                normalization_integral_log(3, bad)
+
+
+def _gamma_exact(x: Fraction) -> tuple[Fraction, int]:
+    """(r, p) with Gamma(x) = r sqrt(pi)^p, for x a positive integer or half-integer."""
+    if x.denominator == 1:
+        return Fraction(math.factorial(x.numerator - 1)), 0
+    j = x.numerator // 2  # Gamma(j + 1/2) = (2j)! / (4^j j!) sqrt(pi)
+    return Fraction(math.factorial(2 * j), 4**j * math.factorial(j)), 1
+
+
+class TestAomotoMomentLog:
+    @pytest.mark.parametrize("alpha", [1, 1.5, 2, 2.5, 3, 3.5, 5])
+    def test_equals_exact_log_of_the_product(self, alpha):
+        # the same Gamma product as a rational times a power of sqrt(pi), compared
+        # in logs: at m = 16, alpha = 1.5 the integral is about e^-806
+        a = Fraction(alpha)
+        for m in range(1, 17):
+            for k in range(m + 1):
+                rational, power = Fraction(1), 0
+                for j in range(1, k + 1):
+                    rational *= a + m - j
+                for j in range(1, m + 1):
+                    r, p = _gamma_exact(a + j - 1)
+                    rational, power = rational * r * math.factorial(j), power + p
+                r, p = _gamma_exact(a * m + m * (m - 1) + k)
+                rational, power = rational / r, power - p
+                exact = (math.log(rational.numerator) - math.log(rational.denominator)
+                         + power * math.log(math.pi) / 2)
+                got = closedform.aomoto_moment_log(m, k, alpha)
+                assert got == pytest.approx(exact, abs=1e-11, rel=0), (m, k)
+
+    def test_domain(self):
+        for m, k in ((0, 0), (2, -1), (2, 3)):
             with pytest.raises(DomainError):
-                normalization_integral_log(3, 1.0, bad)
+                closedform.aomoto_moment_log(m, k, 1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                closedform.aomoto_moment_log(3, 1, bad)
 
 
 class TestSeriesForm:

@@ -123,7 +123,7 @@ class TestSelbergQuadratureOracle:
             tolerance = QUADRATURE_TARGETS[m]
             for alpha in (1.0, 1.5, 2.0, 3.0):
                 value = selberg_quadrature_oracle(m, alpha)
-                closed = normalization_integral(m, alpha, 1.0)
+                closed = normalization_integral(m, alpha)
                 assert value == pytest.approx(closed, rel=tolerance)
 
     def test_domain(self):

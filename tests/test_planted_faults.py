@@ -83,7 +83,7 @@ def test_aomoto_closed_form_fault_fails_quadrature(tmp_path, monkeypatch):
 def test_normalization_fault_fails_quadrature(tmp_path, monkeypatch):
     log = closedform.normalization_integral_log
     monkeypatch.setattr(closedform, "normalization_integral_log",
-                        lambda m, alpha, gamma: log(m, alpha, gamma) + 1e-3 * (m == 3))
+                        lambda m, alpha: log(m, alpha) + 1e-3 * (m == 3))
     code, rows = run(tmp_path, ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"])
     assert code == EXIT_VIOLATION
     failed = [row for row in rows if row.get("ok") is False]
