@@ -20,7 +20,7 @@ import time
 # `montecarlo` and `entangle` (numpy, mpmath) are imported inside the commands
 # that draw samples, so `formula` and `identities` start without them.
 from . import DEFAULT_CHUNK, __version__, closedform, identities
-from .errors import SubentError
+from .errors import DomainError, SubentError
 from .pool import run_ordered, usable_cpus
 
 ENV_PREFIX = "SUBENT_"
@@ -384,15 +384,24 @@ def _cmd_identities(args, settings) -> list[dict]:
     if args.max_m > args.max_n:
         # every pair has m <= n, so m above --max-n would be dropped unchecked
         raise UsageError("--max-m must not exceed --max-n")
-    pairs = [(m, n) for m in range(1, args.max_m + 1) for n in range(m, args.max_n + 1)]
     # (m, k, alpha); k None is the Selberg normalization, k >= 1 an Aomoto moment
     integrals = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
                  for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))
                  ] if args.quadrature else []
+    # rows m = 1 .. max_m of max_n - m + 1 pairs each
+    count = args.max_m * (2 * args.max_n - args.max_m + 1) // 2
+    too_many = DomainError(f"{count} (m, n) pairs are too many to list")
+    if count > sys.maxsize:  # past the largest list
+        raise too_many
+    try:
+        pairs = [(m, n) for m in range(1, args.max_m + 1) for n in range(m, args.max_n + 1)]
+        tasks = integrals + pairs
+    except MemoryError as exc:
+        raise too_many from exc
     # One run over the integrals, then the exact checks: a worker takes the
     # next task when it is free, so the exact checks fill in behind the few
     # slow integrals (m = 3 at alpha = 1.5).
-    results = run_ordered(_identities_task, integrals + pairs, settings["workers"])
+    results = run_ordered(_identities_task, tasks, settings["workers"])
     rows = [
         {"record": "identity", "name": name, "m": m, "n": n, "lhs": lhs, "rhs": rhs,
          "holds": holds}

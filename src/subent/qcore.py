@@ -23,6 +23,7 @@ _SUM_TOL = 1e-9
 _CONFLUENCE_REL = 1e-8       # relative gap below which a row of Q takes the integral form
 _PROBE_TOL = 1e-11           # x^m probe deviation that sends a row to the scalar table
 _INTEGRAL_STEP = 0.3         # trapezoid step in u = ln t for the integral form of Q
+_DIGITS = 40                 # working digits of the one extended-precision pass of the table
 
 
 class Spectrum:
@@ -83,10 +84,10 @@ def subentropy_values(spectra: np.ndarray) -> np.ndarray:
     Q is minus the m-point divided difference of x^m ln x at the eigenvalues.
     Rows with distinct eigenvalues go through a vectorized divided difference
     table. A row whose conditioning probe fails is evaluated again by the
-    scalar table, in floats and then in 40, 80, ... 1280 digits, until the
-    probe certifies it. Rows with ties, and rows that no precision certifies,
-    take the integral form. Non-finite rows and rows whose sum is more than
-    1e-9 from one are rejected: the integral form assumes a unit sum.
+    scalar table, in floats and then once in 40 digits. Rows with ties, and
+    rows that neither pass certifies, take the integral form. Non-finite rows
+    and rows whose sum is more than 1e-9 from one are rejected: the integral
+    form assumes a unit sum.
     """
     z = np.asarray(spectra, dtype=float)
     if z.ndim != 2:
@@ -139,7 +140,7 @@ def _table(z: np.ndarray, col: np.ndarray, probe: np.ndarray):
 
 def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
     """Subentropy of the (k, m) rows whose vectorized probe failed; nan for a
-    row the table certifies at no precision up to 1280 digits.
+    row that neither the float pass nor the 40-digit pass certifies.
 
     The float pass runs `_table` again on node terms from libm, because
     numpy's vectorized `log` and `pow` may differ from libm's in the last
@@ -149,9 +150,11 @@ def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
     of them. Its subtractions and divisions round correctly, in numpy as in
     Python floats, so each row gets the bits of a scalar float table.
 
-    The rows it leaves climb through `_mantissa_table` at 40, 80, ... 1280
-    digits; the probe's node sum and bound and the final float come from
-    mpmath's `libmp`.
+    The rows it leaves take one `_mantissa_table` pass at 40 digits, certified
+    when its x^m probe matches the node sum to 1e-20; the probe's node sum and
+    bound and the final float come from mpmath's `libmp`. A row it does not
+    certify (a tight cluster, or many induced rows from m = 80 on) is left nan
+    for the integral form, which is accurate to about 1e-14 on any row.
     """
     import mpmath as mp
     from mpmath import libmp
@@ -163,19 +166,16 @@ def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
     value, probe = _table(rows, np.reshape(terms, rows.shape), np.reshape(power, rows.shape))
     certified = np.abs(probe - [row.sum() for row in rows]) <= _PROBE_TOL
     out = np.where(value > 0.0, value, 0.0)
+    prec = libmp.dps_to_prec(_DIGITS)
+    bound = libmp.mpf_pow_int(libmp.from_int(10), 20 - _DIGITS, prec, "n")
     for j in np.nonzero(~certified)[0]:
-        out[j] = math.nan
         exact = [libmp.from_float(v) for v in nodes[j * m:(j + 1) * m]]
-        for dps in (40, 80, 160, 320, 640, 1280):
-            # Called as mp.workdps on each pass: perfbench/inproc.py counts the calls.
-            with mp.workdps(dps):
-                prec = libmp.dps_to_prec(dps)
-                value, probe = _mantissa_table(exact, prec)
-                residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
-                bound = libmp.mpf_pow_int(libmp.from_int(10), 20 - dps, prec, "n")
-                if libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound):
-                    out[j] = max(0.0, libmp.to_float(value, rnd="n"))
-                    break
+        # Called as mp.workdps once per row: perfbench/inproc.py counts the calls.
+        with mp.workdps(_DIGITS):
+            value, probe = _mantissa_table(exact, prec)
+            residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
+        certain = libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound)
+        out[j] = max(0.0, libmp.to_float(value, rnd="n")) if certain else math.nan
     return out
 
 

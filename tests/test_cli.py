@@ -10,6 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import oracles
 from subent import closedform, estimate_functional, pool
 from subent.cli import (
@@ -152,6 +157,18 @@ class TestEstimate:
         _, first = run_to_file(tmp_path, "a.json", argv + ["--workers", "1"])
         _, second = run_to_file(tmp_path, "b.json", argv + ["--workers", "2"])
         assert payload_lines(first) == payload_lines(second)
+
+    def test_subentropy_at_large_dimension(self, tmp_path):
+        # every m = 128 row defeats the float and 40-digit tables and takes the
+        # integral form
+        code, text = run_to_file(
+            tmp_path, "e.json",
+            ["estimate", "--m", "128", "--n", "128", "--which", "subentropy",
+             "--samples", "8", "--chunk", "4", "--workers", "1"],
+        )
+        assert code == EXIT_OK
+        (row,) = records(text)
+        assert abs(row["z"]) <= 5
 
     def test_seventeen_digit_floats(self, tmp_path):
         _, text = run_to_file(
@@ -603,6 +620,27 @@ class TestFailurePaths:
         assert captured.err == f"numerical failure: {chunks} chunks are too many to list\n"
         assert not out.exists()
 
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("top, count", [
+        (10**20 - 1, (10**20 - 1) * 10**20 // 2),  # more pairs than any list holds
+        (3 * 10**6, 4500001500000),  # a list that runs out of memory while it is built
+    ], ids=["past-largest-list", "out-of-memory"])
+    def test_pair_list_too_large_to_build_exits_two(self, tmp_path, top, count):
+        # The run is a child whose address space is capped at 256 MB, so that
+        # no version of the command can fill the machine's memory here.
+        limit = 256 * 2**20
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        out = tmp_path / "p.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "subent", "identities", "--max-m", str(top),
+             "--max-n", str(top), "--workers", "2", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=_source_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert proc.stderr == f"numerical failure: {count} (m, n) pairs are too many to list\n"
+        assert not out.exists()
 
 class TestJsonRecords:
     def test_non_finite_fields_written_as_null(self):

@@ -38,6 +38,7 @@ from subent.qcore import (
     entropy_values,
     subentropy_values,
 )
+from subent.sampling import induced_blocks
 
 
 def spec(*values) -> Spectrum:
@@ -368,6 +369,13 @@ def test_euler_gamma_constant():
     assert SUBENTROPY_MAX == pytest.approx(0.4227843350984671, abs=1e-15)
 
 
+def _assert_integral_route(row, value):
+    """`value` is the integral form's bits on `row`, and within 1e-12 of the
+    400-digit pole sum."""
+    assert value.hex() == max(0.0, _subentropy_integral(row[None])[0]).hex()
+    assert value == pytest.approx(float(oracles.subentropy_raw(row, 400)), abs=1e-12)
+
+
 class TestSubentropyRoutes:
     """The integral form against independent oracles, on the rows it takes over
     from the table and away from them."""
@@ -381,12 +389,26 @@ class TestSubentropyRoutes:
 
     @pytest.mark.parametrize("m", [96, 128])
     def test_rows_no_precision_certifies(self, m):
-        # induced rows at m = n >= 96 defeat the table at every precision up
-        # to 1280 digits and reach the integral
+        # induced rows at m = n >= 96 defeat the table in floats and in 40
+        # digits, and reach the integral
         rho = draw_induced(m, m, RngStream(47, m), 1)
         row = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         got = subentropy_values(row)[0]
         assert got == pytest.approx(float(oracles.subentropy_raw(row[0], 400)), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_past_forty_digits_take_the_integral(self, seed):
+        # at m = 80 about half the induced rows defeat the 40-digit pass:
+        # rows 0 and 1 here, which a digit climb would certify at 80 and 640
+        # digits (seed 0) and at 1280 and 160 digits (seed 1)
+        blocks = induced_blocks(80, 80, RngStream(seed, 80), 4)
+        rows = np.concatenate([np.clip(np.linalg.eigvalsh(b), 0.0, None) for b in blocks])
+        rows = -np.sort(-rows, axis=1)
+        assert [math.isnan(oracles.subentropy_escalated_mpf(row)) for row in rows] == [
+            True, True, False, False]
+        got = subentropy_values(rows)
+        for row, value in zip(rows[:2], got[:2]):
+            _assert_integral_route(row, value)
 
     def test_integral_at_large_dimension(self):
         row = np.clip(np.linalg.eigvalsh(draw_induced(256, 256, RngStream(48), 1)), 0.0, None)
@@ -429,8 +451,8 @@ class TestMantissaTable:
 
 class TestBatchedEscalation:
     """`subentropy_values` on one chunk whose rows take every route: the
-    vectorized table, the batched float pass and the digit passes, checked
-    row by row."""
+    vectorized table, the batched float pass, the 40-digit pass and the
+    integral form, checked row by row."""
 
     def test_mixed_chunk(self, monkeypatch):
         m = 24
@@ -463,13 +485,19 @@ class TestBatchedEscalation:
                 assert value.hex() == max(0.0, plain[j]).hex()
                 continue
             _, probe = oracles.scalar_table(row.tolist(), math.log)
+            escalated = oracles.subentropy_escalated_mpf(row)
+            if math.isnan(escalated):
+                kinds.append("integral")
+                _assert_integral_route(row, value)
+                continue
             kinds.append("float" if abs(probe - row.sum()) <= 1e-11 else "digits")
-            assert value.hex() == oracles.subentropy_escalated_mpf(row).hex()
+            assert value.hex() == escalated.hex()
         assert [kinds[j] for j in forced] == ["float", "float"]
         assert kinds[15] == "vectorized"
-        # the cluster climbs to 640 digits; the row with a zero eigenvalue
-        # takes the 40-digit pass on the AVX-512 host
-        assert kinds[16] == "digits"
+        # the 40-digit pass does not certify the cluster (the parent's digit
+        # climb took it to 640 digits); the row with a zero eigenvalue takes
+        # the 40-digit pass on the AVX-512 host
+        assert kinds[16] == "integral"
 
 
 class TestEscalatedAgainstMpfTable:
@@ -489,17 +517,33 @@ class TestEscalatedAgainstMpfTable:
             assert _subentropy_escalated(row[None])[0].hex() == oracles.subentropy_escalated_mpf(row).hex()
 
     @pytest.mark.parametrize("m, size, gap", [(8, 6, 2e-8), (16, 8, 3e-8)])
-    def test_clustered_rows_climb(self, m, size, gap):
-        # a cluster of `size` nodes `gap` apart sends the row up to 160 (m = 8)
-        # and 320 (m = 16) digits
+    def test_clustered_rows_take_the_integral(self, m, size, gap):
+        # a cluster of `size` nodes `gap` apart defeats the 40-digit pass (a
+        # digit climb would certify it at 160 digits at m = 8 and 320 at m = 16)
         row = np.concatenate([np.linspace(0.5, 0.05, m - size), 0.173 + gap * np.arange(size)])
         row = -np.sort(-row / row.sum())
-        assert _subentropy_escalated(row[None])[0].hex() == oracles.subentropy_escalated_mpf(row).hex()
+        assert math.isnan(_subentropy_escalated(row[None])[0])
+        assert math.isnan(oracles.subentropy_escalated_mpf(row))
+        _assert_integral_route(row, subentropy_values(row[None])[0])
 
     def test_row_no_precision_certifies(self):
         row = self._induced_rows(96, 1)[0]
         assert math.isnan(_subentropy_escalated(row[None])[0])
         assert math.isnan(oracles.subentropy_escalated_mpf(row))
+
+    def test_one_digit_pass_per_row(self, monkeypatch):
+        # the m = 96 row fails every pass; it costs one 40-digit table on its
+        # way to the integral form, not a climb through higher precisions
+        calls = []
+
+        def counted(nodes, prec):
+            calls.append(prec)
+            return _mantissa_table(nodes, prec)
+
+        monkeypatch.setattr(qcore, "_mantissa_table", counted)
+        row = self._induced_rows(96, 1)[0]
+        _assert_integral_route(row, subentropy_values(row[None])[0])
+        assert calls == [libmp.dps_to_prec(40)]
 
     def test_table_equal_at_every_precision(self):
         row = self._induced_rows(32, 1)[0].tolist()
