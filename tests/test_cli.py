@@ -642,6 +642,7 @@ class TestFailurePaths:
         assert proc.stderr == f"numerical failure: {count} (m, n) pairs are too many to list\n"
         assert not out.exists()
 
+
 class TestJsonRecords:
     def test_non_finite_fields_written_as_null(self):
         stream = io.StringIO()

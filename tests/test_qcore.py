@@ -399,7 +399,7 @@ class TestSubentropyRoutes:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rows_past_forty_digits_take_the_integral(self, seed):
         # at m = 80 about half the induced rows defeat the 40-digit pass:
-        # rows 0 and 1 here, which a digit climb would certify at 80 and 640
+        # rows 0 and 1 here, which the table certifies only at 80 and 640
         # digits (seed 0) and at 1280 and 160 digits (seed 1)
         blocks = induced_blocks(80, 80, RngStream(seed, 80), 4)
         rows = np.concatenate([np.clip(np.linalg.eigvalsh(b), 0.0, None) for b in blocks])
@@ -494,9 +494,9 @@ class TestBatchedEscalation:
             assert value.hex() == escalated.hex()
         assert [kinds[j] for j in forced] == ["float", "float"]
         assert kinds[15] == "vectorized"
-        # the 40-digit pass does not certify the cluster (the parent's digit
-        # climb took it to 640 digits); the row with a zero eigenvalue takes
-        # the 40-digit pass on the AVX-512 host
+        # the table certifies the cluster only at 640 digits, so it takes the
+        # integral; the row with a zero eigenvalue takes the 40-digit pass on
+        # the AVX-512 host
         assert kinds[16] == "integral"
 
 
@@ -518,8 +518,8 @@ class TestEscalatedAgainstMpfTable:
 
     @pytest.mark.parametrize("m, size, gap", [(8, 6, 2e-8), (16, 8, 3e-8)])
     def test_clustered_rows_take_the_integral(self, m, size, gap):
-        # a cluster of `size` nodes `gap` apart defeats the 40-digit pass (a
-        # digit climb would certify it at 160 digits at m = 8 and 320 at m = 16)
+        # a cluster of `size` nodes `gap` apart needs 160 (m = 8) and 320
+        # (m = 16) digits for the table to certify it, so it takes the integral
         row = np.concatenate([np.linspace(0.5, 0.05, m - size), 0.173 + gap * np.arange(size)])
         row = -np.sort(-row / row.sum())
         assert math.isnan(_subentropy_escalated(row[None])[0])
@@ -533,7 +533,7 @@ class TestEscalatedAgainstMpfTable:
 
     def test_one_digit_pass_per_row(self, monkeypatch):
         # the m = 96 row fails every pass; it costs one 40-digit table on its
-        # way to the integral form, not a climb through higher precisions
+        # way to the integral form
         calls = []
 
         def counted(nodes, prec):
