@@ -269,6 +269,9 @@ def _cmd_formula(args, settings) -> list[dict]:
     else:
         _check_pair(args, "formula (without ranges)", 1)
         pairs = [(args.m, args.n)]
+    top = max(m * n for m, n in pairs)
+    if top > sys.maxsize:  # H_mn sums mn terms: past the largest index it never ends
+        raise DomainError(f"H_mn at mn = {top} is too large to compute exactly")
     # Every average is an integer numerator over one harmonic denominator L
     # (2nL for the entropy); each printed value is reduced once.
     a, den = closedform.harmonic_numerators(

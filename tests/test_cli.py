@@ -642,6 +642,21 @@ class TestFailurePaths:
         assert proc.stderr == f"numerical failure: {count} (m, n) pairs are too many to list\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, top", [
+        (["--m", "1", "--n", str(10**20)], 10**20),
+        (["--m-range", "1..3", "--n", str(10**20)], 3 * 10**20),
+    ], ids=["pair", "sweep"])
+    def test_harmonic_index_too_large_exits_two(self, tmp_path, argv, top):
+        # summing H_mn term by term past sys.maxsize never ends, so the run is
+        # a child under a timeout
+        out = tmp_path / "f.json"
+        proc = subprocess.run([sys.executable, "-m", "subent", "formula", *argv, "--out", str(out)],
+                              capture_output=True, text=True, timeout=60, env=_source_env())
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert proc.stderr == f"numerical failure: H_mn at mn = {top} is too large to compute exactly\n"
+        assert not out.exists()
+
 
 class TestJsonRecords:
     def test_non_finite_fields_written_as_null(self):
@@ -871,6 +886,17 @@ def test_drawing_without_escalation_does_not_load_mpmath(tmp_path):
     argv = ["estimate", "--m", "4", "--n", "4", "--which", "subentropy", "--samples", "64",
             "--workers", "1", "--out", str(tmp_path / "e.json")]
     assert _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0", ("mpmath",)) == []
+
+
+def test_escalating_draw_loads_only_libmp(tmp_path):
+    # the m = 32 rows take the 40-digit pass, which loads mpmath's libmp on
+    # its own, under qcore's private name, and not the mpmath package
+    argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples", "8",
+            "--chunk", "4", "--workers", "1", "--out", str(tmp_path / "e.json")]
+    loaded = _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0",
+                     ("mpmath", "_subent_libmp"))
+    assert "_subent_libmp" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "mpmath"] == []
 
 
 _BREAK_IDENTITY = """

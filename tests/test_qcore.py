@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -424,6 +426,50 @@ class TestSubentropyRoutes:
             row /= row.sum()
             got = _subentropy_integral(row[None, :])[0]
             assert got == pytest.approx(float(oracles.subentropy_raw(row, 200)), abs=1e-13)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the float pass certifies this row by its x^m probe "
+        "(7.6e-12), which does not bound the value column; 2.1e-9 off"))
+    def test_float_pass_row_within_pole_sum(self):
+        # row 101 of `subentropy-m32` at seed 1: the vectorized probe rejects
+        # it (1.28e-11), the libm float pass certifies it, and its value is
+        # 0x1.92991e30e7606p-2 against the pole sum's 0x1.92991e5516b15p-2
+        blocks = induced_blocks(32, 32, RngStream(1, 3), 32)
+        rows = np.concatenate([np.clip(np.linalg.eigvalsh(b), 0.0, None) for b in blocks])
+        row = -np.sort(-rows[5])
+        got = subentropy_values(row[None])[0]
+        assert got == pytest.approx(float(oracles.subentropy_raw(row, 200)), abs=1e-12)
+
+
+class TestOwnLibmp:
+    """`qcore._own_libmp`, mpmath's `libmp` loaded without mpmath, against
+    `mpmath.libmp` itself."""
+
+    def test_loads_mpmath_own_files(self):
+        own = qcore._own_libmp()
+        assert own is not libmp and own.__name__ == qcore._LIBMP
+        assert os.path.dirname(own.__file__) == os.path.dirname(libmp.__file__)
+        assert os.path.dirname(own.libmpf.__file__) == os.path.dirname(libmp.libmpf.__file__)
+        assert qcore._own_libmp() is own is sys.modules[qcore._LIBMP]
+        # a process that has imported mpmath gets mpmath's own libmp
+        assert qcore._libmp() is libmp
+
+    @given(values=st.lists(st.floats(min_value=5e-324, max_value=1e300, allow_infinity=False),
+                           min_size=1, max_size=6),
+           exponent=st.integers(0, 64))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_results_as_mpmath_libmp(self, values, exponent):
+        prec = libmp.dps_to_prec(40)  # 136 bits, as in the 40-digit pass
+        results = []
+        for lib in (qcore._own_libmp(), libmp):
+            x = [lib.from_float(v) for v in values]
+            power = [lib.mpf_pow_int(v, exponent, prec, "n") for v in x]
+            logs = [lib.mpf_log(v, prec, "n") for v in x]
+            products = [lib.mpf_mul(p, q, prec, "n") for p, q in zip(power, logs)]
+            total = lib.mpf_sum(products + x, prec, "n")
+            results.append((x, power, logs, products, total,
+                            [lib.to_float(v, rnd="n") for v in products + [total]]))
+        assert results[0] == results[1]
 
 
 @st.composite
