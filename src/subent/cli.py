@@ -31,6 +31,11 @@ EXIT_VIOLATION = 3
 
 QUADRATURE_ALPHAS = (1.0, 1.5, 2.0, 3.0)
 _DEFAULT_EPS = "0.05,0.1,0.2"
+# formula's exact work, in units of (pairs + 1) * mn^2 for the largest mn: each
+# pair reduces its fractions over L = lcm(1 .. mn), about 1.44 mn bits, by
+# quadratic gcds, and the harmonic sum costs about one pair more. A unit
+# took 6-15 ns on a 2-core host, so this limit is a run of at most about a minute.
+_FORMULA_WORK = 4 * 10**12
 
 
 class UsageError(Exception):
@@ -270,8 +275,10 @@ def _cmd_formula(args, settings) -> list[dict]:
         _check_pair(args, "formula (without ranges)", 1)
         pairs = [(args.m, args.n)]
     top = max(m * n for m, n in pairs)
-    if top > sys.maxsize:  # H_mn sums mn terms: past the largest index it never ends
-        raise DomainError(f"H_mn at mn = {top} is too large to compute exactly")
+    work = (len(pairs) + 1) * top**2
+    if work > _FORMULA_WORK:
+        raise DomainError(f"{len(pairs)} formula pairs up to mn = {top} are too much exact "
+                          f"arithmetic: (pairs + 1) * mn^2 = {work} > {_FORMULA_WORK}")
     # Every average is an integer numerator over one harmonic denominator L
     # (2nL for the entropy); each printed value is reduced once.
     a, den = closedform.harmonic_numerators(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+import threading
 
 import numpy as np
 
@@ -26,7 +27,8 @@ _CONFLUENCE_REL = 1e-8       # relative gap below which a row of Q takes the int
 _PROBE_TOL = 1e-11           # x^m probe deviation that sends a row to the scalar table
 _INTEGRAL_STEP = 0.3         # trapezoid step in u = ln t for the integral form of Q
 _DIGITS = 40                 # working digits of the one extended-precision pass of the table
-_LIBMP = "_subent_libmp"     # module name of mpmath's libmp when it is loaded without mpmath
+_LIBMP = "_subent_libmp"     # module name of mpmath's libmp, loaded without mpmath
+_LIBMP_LOCK = threading.Lock()
 
 
 class Spectrum:
@@ -155,12 +157,12 @@ def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
 
     The rows it leaves take one `_mantissa_table` pass at 40 digits, certified
     when its x^m probe matches the node sum to 1e-20; the probe's node sum and
-    bound and the final float come from mpmath's `libmp`, which `_libmp`
+    bound and the final float come from mpmath's `libmp`, which `_own_libmp`
     loads without the rest of mpmath. A row it does not certify (a tight
     cluster, or many induced rows from m = 80 on) is left nan for the
     integral form, which is accurate to about 1e-14 on any row.
     """
-    libmp = _libmp()
+    libmp = _own_libmp()
     mp = sys.modules.get("mpmath")
     m = rows.shape[1]
     nodes = rows.ravel().tolist()
@@ -192,7 +194,7 @@ def _mantissa_table(nodes: list, prec: int):
     as libmp's `mpf_sub` and `mpf_div` do, so it holds exactly the values a
     table of `mpf` numbers holds.
     """
-    libmp = _libmp()
+    libmp = _own_libmp()
     m = len(nodes)
     power = [libmp.mpf_pow_int(v, m, prec, "n") for v in nodes]
     terms = [libmp.mpf_mul(p, libmp.mpf_log(v, prec, "n"), prec, "n") if libmp.mpf_sign(v) > 0 else p
@@ -237,12 +239,6 @@ def _mantissa_table(nodes: list, prec: int):
     return value, libmp.from_man_exp(pm[0], pe[0])
 
 
-def _libmp():
-    """mpmath's integer core `libmp`: `mpmath.libmp` in a process that has
-    imported mpmath, and otherwise :func:`_own_libmp`."""
-    return sys.modules.get("mpmath.libmp") or _own_libmp()
-
-
 def _own_libmp():
     """The `libmp` package of the installed mpmath, loaded once on its own.
 
@@ -250,28 +246,31 @@ def _own_libmp():
     private name `_LIBMP` without `mpmath` and its contexts: 4-7 ms and under
     1 MB of peak RSS in a worker, against 25-28 ms and 3-4 MB for `import
     mpmath`.
-    It runs the same files as `mpmath.libmp`, so it gives the same results.
+    It runs the same files as `mpmath.libmp`, so it gives the same results,
+    in a process that has imported mpmath too. The load runs under a lock,
+    so a thread never sees the module before it has run.
     """
-    module = sys.modules.get(_LIBMP)
-    if module is not None:
-        return module
-    import importlib.util
-    import os
+    with _LIBMP_LOCK:
+        module = sys.modules.get(_LIBMP)
+        if module is not None:
+            return module
+        import importlib.util
+        import os
 
-    package = importlib.util.find_spec("mpmath")
-    if package is None:
-        raise ModuleNotFoundError("No module named 'mpmath'", name="mpmath")
-    directory = os.path.join(package.submodule_search_locations[0], "libmp")
-    spec = importlib.util.spec_from_file_location(
-        _LIBMP, os.path.join(directory, "__init__.py"), submodule_search_locations=[directory])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_LIBMP] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_LIBMP]
-        raise
-    return module
+        package = importlib.util.find_spec("mpmath")
+        if package is None:
+            raise ModuleNotFoundError("No module named 'mpmath'", name="mpmath")
+        directory = os.path.join(package.submodule_search_locations[0], "libmp")
+        spec = importlib.util.spec_from_file_location(
+            _LIBMP, os.path.join(directory, "__init__.py"), submodule_search_locations=[directory])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_LIBMP] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_LIBMP]
+            raise
+        return module
 
 
 def _subentropy_integral(z: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import oracles
-from subent import closedform, estimate_functional, pool
+from subent import cli, closedform, estimate_functional, pool
 from subent.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -642,20 +642,43 @@ class TestFailurePaths:
         assert proc.stderr == f"numerical failure: {count} (m, n) pairs are too many to list\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, top", [
-        (["--m", "1", "--n", str(10**20)], 10**20),
-        (["--m-range", "1..3", "--n", str(10**20)], 3 * 10**20),
-    ], ids=["pair", "sweep"])
-    def test_harmonic_index_too_large_exits_two(self, tmp_path, argv, top):
-        # summing H_mn term by term past sys.maxsize never ends, so the run is
-        # a child under a timeout
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("argv, count, top", [
+        (["--m", "1", "--n", str(10**20)], 1, 10**20),
+        (["--m", "1", "--n", str(10**18)], 1, 10**18),  # below sys.maxsize
+        (["--m", "1", "--n", "1414214"], 1, 1414214),  # the first n past the limit at m = 1
+        (["--m-range", "1..3", "--n", str(10**20)], 3, 3 * 10**20),
+        (["--m-range", "1..200", "--n-range", "1..200"], 20100, 40000),  # many small pairs
+    ], ids=["pair", "pair-below-maxsize", "pair-past-limit", "sweep", "many-pairs"])
+    def test_formula_past_exact_work_limit_exits_two(self, tmp_path, argv, count, top):
+        # Past the limit the exact sums run for minutes to ever, with L growing
+        # to 1.44 mn bits, so the run is a child under a timeout whose address
+        # space is capped at 256 MB.
+        limit = 256 * 2**20
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         out = tmp_path / "f.json"
-        proc = subprocess.run([sys.executable, "-m", "subent", "formula", *argv, "--out", str(out)],
-                              capture_output=True, text=True, timeout=60, env=_source_env())
+        proc = subprocess.run(
+            [sys.executable, "-m", "subent", "formula", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=_source_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
-        assert proc.stderr == f"numerical failure: H_mn at mn = {top} is too large to compute exactly\n"
+        assert proc.stderr == (
+            f"numerical failure: {count} formula pairs up to mn = {top} are too much exact "
+            f"arithmetic: (pairs + 1) * mn^2 = {(count + 1) * top**2} > {cli._FORMULA_WORK}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("limit, code", [(72, EXIT_OK), (71, EXIT_NUMERICAL)])
+    def test_formula_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, limit, code):
+        # one pair at mn = 6 is (1 + 1) * 6^2 = 72 units of work
+        monkeypatch.setattr(cli, "_FORMULA_WORK", limit)
+        out = tmp_path / "f.json"
+        assert main(["formula", "--m", "2", "--n", "3", "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+        assert capsys.readouterr().err == ("" if code == EXIT_OK else (
+            "numerical failure: 1 formula pairs up to mn = 6 are too much exact "
+            "arithmetic: (pairs + 1) * mn^2 = 72 > 71\n"))
 
 
 class TestJsonRecords:

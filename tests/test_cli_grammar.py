@@ -5,7 +5,8 @@ integers, floats and strings, `SUBENT_*` variables and config files, and
 runs each in-process. The work of one example is bounded: `--workers` and
 the default worker count are at most 2, m·n·samples is capped, and so is
 the chunk count. Sizes past 2**63 stay in, because every command rejects
-them before it draws or sums anything.
+them before it draws or sums anything, and so do `formula` sizes past its
+exact-work limit.
 """
 
 import contextlib
@@ -23,6 +24,9 @@ from subent import DEFAULT_CHUNK, cli
 from subent.cli import _violates, main
 
 _HUGE = (10**20, 2**64, 2**63)
+# the huge sizes of formula's --m and --n: below 2**63 but past its exact-work
+# limit even at m = 1, the first n with (1 + 1) * n^2 over it and 10**18
+_FORMULA_HUGE = (math.isqrt(cli._FORMULA_WORK // 2) + 1, 10**18)
 _EDGE_STRINGS = ["", "nan", "inf", "1e3", "1.5", "-0", "0x10", "abc", " 4 ", "+3", "1_0",
                  "٣", "２"]  # an Arabic-Indic 3 and a fullwidth 2, which int() reads
 
@@ -75,7 +79,8 @@ def _runs(draw):
 
     Half the runs are clean: a command, valid values, --m and --n given and
     in order, and no stray argument, so that most of them reach the records.
-    A quarter are clean but for one size past 2**63. In the rest a value is
+    A quarter are clean but for one size past 2**63 (in `formula`'s --m or
+    --n, one below it but past the exact-work limit). In the rest a value is
     an edge value one time in five.
     """
     mode = draw(st.sampled_from(["clean", "clean", "huge", "noisy"]))
@@ -103,7 +108,8 @@ def _runs(draw):
     sizes = [i for i, (f, _) in enumerate(pairs) if f in _SIZE_FLAGS]
     if mode == "huge" and sizes:
         flag = pairs[draw(st.sampled_from(sizes))][0]
-        huge = draw(st.sampled_from(_HUGE))
+        plain_formula = command == "formula" and not flag.endswith("range")
+        huge = draw(st.sampled_from(_FORMULA_HUGE if plain_formula else _HUGE))
         for i, (f, v) in enumerate(pairs):  # a huge m comes with a huge n, so m <= n holds
             if f == flag or _SIZE_FLAGS[flag] == f:
                 pairs[i] = (f, f"1..{huge}" if f.endswith("range") else str(huge))

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -451,8 +452,27 @@ class TestOwnLibmp:
         assert os.path.dirname(own.__file__) == os.path.dirname(libmp.__file__)
         assert os.path.dirname(own.libmpf.__file__) == os.path.dirname(libmp.libmpf.__file__)
         assert qcore._own_libmp() is own is sys.modules[qcore._LIBMP]
-        # a process that has imported mpmath gets mpmath's own libmp
-        assert qcore._libmp() is libmp
+
+    def test_threads_racing_the_first_load_get_the_whole_module(self):
+        # a fresh interpreter, so that the first load is the one raced
+        code = (
+            "import threading\n"
+            "from subent import qcore\n"
+            "start, got = threading.Barrier(8), []\n"
+            "def load():\n"
+            "    start.wait()\n"
+            "    module = qcore._own_libmp()\n"
+            "    got.append((module, module.mpf_log, module.to_float))\n"
+            "threads = [threading.Thread(target=load) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "assert len(got) == 8 and len(set(got)) == 1, got\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     @given(values=st.lists(st.floats(min_value=5e-324, max_value=1e300, allow_infinity=False),
                            min_size=1, max_size=6),
