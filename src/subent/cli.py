@@ -36,6 +36,11 @@ _DEFAULT_EPS = "0.05,0.1,0.2"
 # quadratic gcds, and the harmonic sum costs about one pair more. A unit
 # took 6-15 ns on a 2-core host, so this limit is a run of at most about a minute.
 _FORMULA_WORK = 4 * 10**12
+# identities' exact work, in units of (pairs + 1) * (m + n) * (m + isqrt(n))^2 for
+# the largest m and n: fitted to 17 sweeps from 20 x 20 to 180 x 180 and 1 x 4000,
+# where a unit took 0.2-0.8 ns on a 2-core host, so this limit is also a run of
+# at most about a minute.
+_IDENTITIES_WORK = 8 * 10**10
 
 
 class UsageError(Exception):
@@ -172,7 +177,9 @@ def _resolve(flag_value, env_name, config: dict, key: str, default, cast):
     return default
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(flag: str, text: str) -> range:
+    """The integers of `--flag A..B`, not listed; a count past the largest
+    list is a DomainError naming the flag."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"ranges look like A..B, got {text!r}")
@@ -182,7 +189,9 @@ def _parse_range(text: str) -> list[int]:
         raise UsageError(f"ranges need integer endpoints, got {text!r}") from exc
     if lo_i > hi_i or lo_i < 1:
         raise UsageError(f"empty or invalid range {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    if hi_i - lo_i + 1 > sys.maxsize:
+        raise DomainError(f"--{flag} holds {hi_i - lo_i + 1} values, too many to list")
+    return range(lo_i, hi_i + 1)
 
 
 def _parse_eps(text: str) -> list[float]:
@@ -264,21 +273,29 @@ def _cmd_formula(args, settings) -> list[dict]:
     if args.n_range:
         _reject_overridden(args, "n-range", ("n",))
     if args.m_range or args.n_range:
-        ms = _parse_range(args.m_range) if args.m_range else [args.m]
-        ns = _parse_range(args.n_range) if args.n_range else [args.n]
-        if None in ms or None in ns:
+        if (args.m_range or args.m) is None or (args.n_range or args.n) is None:
             raise UsageError("sweeps need both --m/--m-range and --n/--n-range")
-        pairs = [(m, n) for m in ms for n in ns if m <= n]
-        if not pairs:
-            raise UsageError("the ranges hold no pair with m <= n")
+        ms = _parse_range("m-range", args.m_range) if args.m_range else _single("m", args.m)
+        ns = _parse_range("n-range", args.n_range) if args.n_range else _single("n", args.n)
     else:
         _check_pair(args, "formula (without ranges)", 1)
-        pairs = [(args.m, args.n)]
-    top = max(m * n for m, n in pairs)
-    work = (len(pairs) + 1) * top**2
+        ms, ns = range(args.m, args.m + 1), range(args.n, args.n + 1)
+    # The work is bounded from the ends of the ranges, before any pair is
+    # listed. The pairs m <= n have m up to top_m; an m up to ns.start pairs
+    # with all of ns, a larger one with the last_n - m + 1 values from m on.
+    top_m, last_n = min(ms.stop, ns.stop) - 1, ns.stop - 1
+    if top_m < ms.start:
+        raise UsageError("the ranges hold no pair with m <= n")
+    low = max(0, min(top_m, ns.start) - ms.start + 1)
+    first = max(ms.start, ns.start + 1)
+    high = max(0, top_m - first + 1)
+    count = low * len(ns) + high * (last_n + 1) - (first + top_m) * high // 2
+    top = top_m * last_n
+    work = (count + 1) * top**2
     if work > _FORMULA_WORK:
-        raise DomainError(f"{len(pairs)} formula pairs up to mn = {top} are too much exact "
+        raise DomainError(f"{count} formula pairs up to mn = {top} are too much exact "
                           f"arithmetic: (pairs + 1) * mn^2 = {work} > {_FORMULA_WORK}")
+    pairs = [(m, n) for m in range(ms.start, top_m + 1) for n in range(max(m, ns.start), ns.stop)]
     # Every average is an integer numerator over one harmonic denominator L
     # (2nL for the entropy); each printed value is reduced once.
     a, den = closedform.harmonic_numerators(
@@ -317,6 +334,13 @@ def _cmd_formula(args, settings) -> list[dict]:
             }
         )
     return rows
+
+
+def _single(flag: str, value: int) -> range:
+    """The one value of the flag a range replaces, as a range."""
+    if value < 1:
+        raise UsageError(f"--{flag} must be >= 1 in a sweep")
+    return range(value, value + 1)
 
 
 def _reduced(numerator: int, denominator: int) -> tuple[str, float]:
@@ -361,9 +385,13 @@ def _cmd_concentration(args, settings) -> list[dict]:
     epsilons = _parse_eps(args.eps)
     if args.m_range:
         _reject_overridden(args, "m-range", ("m", "n"))
-        ms = _parse_range(args.m_range)
-        if any(m < 2 for m in ms):
+        ms = _parse_range("m-range", args.m_range)
+        if ms.start < 2:
             raise UsageError("sweep dimensions must be >= 2")
+        try:
+            ms = list(ms)
+        except MemoryError as exc:
+            raise DomainError(f"--m-range holds {len(ms)} values, too many to list") from exc
         return [
             {
                 "record": "concentration",
@@ -398,16 +426,15 @@ def _cmd_identities(args, settings) -> list[dict]:
     integrals = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
                  for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))
                  ] if args.quadrature else []
-    # rows m = 1 .. max_m of max_n - m + 1 pairs each
+    # rows m = 1 .. max_m of max_n - m + 1 pairs each, bounded before they are listed
     count = args.max_m * (2 * args.max_n - args.max_m + 1) // 2
-    too_many = DomainError(f"{count} (m, n) pairs are too many to list")
-    if count > sys.maxsize:  # past the largest list
-        raise too_many
-    try:
-        pairs = [(m, n) for m in range(1, args.max_m + 1) for n in range(m, args.max_n + 1)]
-        tasks = integrals + pairs
-    except MemoryError as exc:
-        raise too_many from exc
+    work = (count + 1) * (args.max_m + args.max_n) * (args.max_m + math.isqrt(args.max_n))**2
+    if work > _IDENTITIES_WORK:
+        raise DomainError(f"{count} (m, n) pairs up to m = {args.max_m}, n = {args.max_n} are "
+                          f"too much exact arithmetic: (pairs + 1) * (m + n) * (m + isqrt(n))^2"
+                          f" = {work} > {_IDENTITIES_WORK}")
+    pairs = [(m, n) for m in range(1, args.max_m + 1) for n in range(m, args.max_n + 1)]
+    tasks = integrals + pairs
     # One run over the integrals, then the exact checks: a worker takes the
     # next task when it is free, so the exact checks fill in behind the few
     # slow integrals (m = 3 at alpha = 1.5).

@@ -27,6 +27,7 @@ _CONFLUENCE_REL = 1e-8       # relative gap below which a row of Q takes the int
 _PROBE_TOL = 1e-11           # x^m probe deviation that sends a row to the scalar table
 _INTEGRAL_STEP = 0.3         # trapezoid step in u = ln t for the integral form of Q
 _DIGITS = 40                 # working digits of the one extended-precision pass of the table
+_POWER_FLOOR = 2.0**-1000    # smallest nonzero float x^m the a priori probe bound counts on
 _LIBMP = "_subent_libmp"     # module name of mpmath's libmp, loaded without mpmath
 _LIBMP_LOCK = threading.Lock()
 
@@ -158,9 +159,12 @@ def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
     The rows it leaves take one `_mantissa_table` pass at 40 digits, certified
     when its x^m probe matches the node sum to 1e-20; the probe's node sum and
     bound and the final float come from mpmath's `libmp`, which `_own_libmp`
-    loads without the rest of mpmath. A row it does not certify (a tight
-    cluster, or many induced rows from m = 80 on) is left nan for the
-    integral form, which is accurate to about 1e-14 on any row.
+    loads without the rest of mpmath. A row whose `_probe_error_bound` is
+    below half of 1e-20 would pass that test whatever its rounding, so it
+    runs the value column alone and counts as certified: its value has the
+    bits the full table gives. A row it does not certify (a tight cluster, or many induced rows
+    from m = 80 on) is left nan for the integral form, which is accurate to
+    about 1e-14 on any row.
     """
     libmp = _own_libmp()
     mp = sys.modules.get("mpmath")
@@ -168,26 +172,72 @@ def _subentropy_escalated(rows: np.ndarray) -> np.ndarray:
     nodes = rows.ravel().tolist()
     power = [v**m for v in nodes]
     terms = [p * math.log(v) if v > 0 else p for p, v in zip(power, nodes)]
-    value, probe = _table(rows, np.reshape(terms, rows.shape), np.reshape(power, rows.shape))
+    power = np.reshape(power, rows.shape)
+    value, probe = _table(rows, np.reshape(terms, rows.shape), power)
     certified = np.abs(probe - [row.sum() for row in rows]) <= _PROBE_TOL
     out = np.where(value > 0.0, value, 0.0)
     prec = libmp.dps_to_prec(_DIGITS)
     bound = libmp.mpf_pow_int(libmp.from_int(10), 20 - _DIGITS, prec, "n")
+    bounded = _probe_error_bound(rows, power, prec) < 0.5 * 10.0 ** (20 - _DIGITS)
     for j in np.nonzero(~certified)[0]:
         exact = [libmp.from_float(v) for v in nodes[j * m:(j + 1) * m]]
         # perfbench/inproc.py counts the calls to mpmath.workdps, once per row;
         # a process that has not imported mpmath does not import it for this
         with mp.workdps(_DIGITS) if mp else contextlib.nullcontext():
-            value, probe = _mantissa_table(exact, prec)
-            residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
-        certain = libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound)
+            if bounded[j]:
+                value, certain = _mantissa_table(exact, prec, probe=False)[0], True
+            else:
+                value, probe = _mantissa_table(exact, prec)
+                residual = libmp.mpf_sub(probe, libmp.mpf_sum(exact, prec, "n"), prec, "n")
+                certain = libmp.mpf_lt(libmp.mpf_abs(residual, prec, "n"), bound)
         out[j] = max(0.0, libmp.to_float(value, rnd="n")) if certain else math.nan
     return out
 
 
-def _mantissa_table(nodes: list, prec: int):
+def _probe_error_bound(z: np.ndarray, power: np.ndarray, prec: int) -> np.ndarray:
+    """Row-wise bound on |probe - sum(z)| for `_mantissa_table` at prec bits
+    on the nodes z, from their float x^m `power`, before the table runs; inf
+    for a row with a nonzero float x^m below `_POWER_FLOOR`, which may have
+    underflowed.
+
+    Let u = 2^-prec, P_i^w the exact divided difference of x^m at the nodes
+    z_i .. z_(i+w) (so P_0^(m-1) = sum(z)), p_i^w the table's entry, and
+    A_i^w the same recurrence run on |z_i^m| with |spans| and sums in place
+    of differences, A_i^w = (A_(i+1)^(w-1) + A_i^(w-1)) / |z_(i+w) - z_i|,
+    so that |P_i^w| <= A_i^w. Each step rounds the span, the difference and
+    the quotient to nearest, so p_i^w = (p_(i+1)^(w-1) - p_i^(w-1)) /
+    (z_(i+w) - z_i) * (1 + t) with |t| <= g = 3u / (1 - 3u); `mpf_pow_int`
+    gives p_i^0 = z_i^m (1 + e) with |e| <= eta = 2u (one rounding after a
+    binary powering carried at prec + 4 bitlength(m) + 4 bits). Induction on
+    the width w (running error analysis as in Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002) gives
+
+        |p_i^w - P_i^w| <= c_w A_i^w,  1 + c_w = (1 + g)^w (1 + eta):
+
+    the step's error is the two errors above it divided by the span, at most
+    c_(w-1) A_i^w, plus t times the computed quotient, at most
+    g (1 + c_(w-1)) A_i^w because |p^(w-1)| <= |P^(w-1)| + c_(w-1) A^(w-1).
+    At w = m - 1, x = (m - 1) g + eta <= 3m u, and c_(m-1) <= e^x - 1 <= 2x
+    <= 6m u while x <= 1/2. The bound returned, 2 (3m + 2 bitlength(m) + 4)
+    u A_0^(m-1) with A evaluated in floats, is above c_(m-1) A_0^(m-1): the
+    extra terms cover the float rounding of A (3 (m - 1) steps of 2^-53
+    each, and libm's x^m), which holds while every nonzero float x^m is
+    normal. With the node sum rounded to prec bits (error below 2u sum(z))
+    and the residual rounded once more, a bound below half of 1e-20 makes
+    the full table's residual test at 1e-20 pass.
+    """
+    a = np.abs(power)
+    normal = ((a >= _POWER_FLOOR) | (z == 0.0)).all(axis=1)
+    for width in range(1, z.shape[1]):
+        a = (a[:, 1:] + a[:, :-1]) / np.abs(z[:, width:] - z[:, :-width])
+    m = z.shape[1]
+    return np.where(normal, 2 * (3 * m + 2 * m.bit_length() + 4) * 2.0**-prec * a[:, 0], np.inf)
+
+
+def _mantissa_table(nodes: list, prec: int, probe: bool = True):
     """The scalar table at prec bits on distinct libmp nodes: (-[z_1,...,z_m]
-    x^m ln x, [z_1,...,z_m] x^m) as libmp numbers.
+    x^m ln x, [z_1,...,z_m] x^m) as libmp numbers, or (-[z_1,...,z_m] x^m ln x,
+    None) without the probe column.
 
     The node terms come from libmp. The table runs in place on signed
     mantissas and exponents of Python ints and rounds each step to nearest
@@ -201,7 +251,7 @@ def _mantissa_table(nodes: list, prec: int):
              for p, v in zip(power, nodes)]
     zm, cm, pm = ([-t[1] if t[0] else t[1] for t in c] for c in (nodes, terms, power))
     ze, ce, pe = ([t[2] for t in c] for c in (nodes, terms, power))
-    columns = ((cm, ce), (pm, pe))
+    columns = ((cm, ce), (pm, pe)) if probe else ((cm, ce),)
     for width in range(1, m):
         for i in range(m - width):
             # the span z[i + width] - z[i], shared by both columns
@@ -236,7 +286,7 @@ def _mantissa_table(nodes: list, prec: int):
                 man[i] = -q if (d < 0) != sneg else q
                 exp[i] = e - se - extra + shift
     value = libmp.mpf_neg(libmp.from_man_exp(cm[0], ce[0]), prec, "n")
-    return value, libmp.from_man_exp(pm[0], pe[0])
+    return value, libmp.from_man_exp(pm[0], pe[0]) if probe else None
 
 
 def _own_libmp():

@@ -94,6 +94,37 @@ class TestFormula:
         argv = ["formula", "--m-range", "5..6", "--n-range", "1..2", "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--m", "0", "--n-range", "1..3"], "m"),
+        (["--m", "-2", "--n-range", "1..3"], "m"),
+        (["--m-range", "1..3", "--n", "0"], "n"),
+    ])
+    def test_sweep_value_below_one_is_usage_error(self, tmp_path, capsys, argv, flag):
+        # --m 0 beside a range used to end in a KeyError traceback
+        out = tmp_path / "x"
+        assert main(["formula", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --{flag} must be >= 1 in a sweep\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m_range", ["1..1", "1..4", "2..5", "3..9", "6..7", "8..9"])
+    @pytest.mark.parametrize("n_range", ["1..1", "1..6", "2..8", "4..5", "7..9"])
+    def test_sweep_work_counted_from_range_ends(self, tmp_path, monkeypatch, capsys, m_range,
+                                                n_range):
+        # the pair count and the largest m n, computed from the ends before any
+        # pair is listed, equal those of the listed pairs
+        (m_lo, m_hi), (n_lo, n_hi) = (map(int, r.split("..")) for r in (m_range, n_range))
+        pairs = [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, n_hi + 1) if m <= n]
+        monkeypatch.setattr(cli, "_FORMULA_WORK", -1)
+        code = main(["formula", "--m-range", m_range, "--n-range", n_range,
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        if not pairs:
+            assert code == EXIT_USAGE
+            return
+        assert code == EXIT_NUMERICAL
+        top = max(m * n for m, n in pairs)
+        assert err.startswith(f"numerical failure: {len(pairs)} formula pairs up to mn = {top} ")
+
     def test_sweep_equals_fraction_oracle(self, tmp_path):
         # every value and both residuals against reduced-fraction arithmetic
         # on the m <= n <= 60 grid
@@ -623,23 +654,63 @@ class TestFailurePaths:
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
     @pytest.mark.parametrize("top, count", [
         (10**20 - 1, (10**20 - 1) * 10**20 // 2),  # more pairs than any list holds
-        (3 * 10**6, 4500001500000),  # a list that runs out of memory while it is built
-    ], ids=["past-largest-list", "out-of-memory"])
-    def test_pair_list_too_large_to_build_exits_two(self, tmp_path, top, count):
-        # The run is a child whose address space is capped at 256 MB, so that
-        # no version of the command can fill the machine's memory here.
+        (3 * 10**6, 4500001500000),  # fewer, but a list past any memory here
+    ], ids=["past-largest-list", "below-maxsize"])
+    def test_identities_past_exact_work_limit_exits_two(self, tmp_path, top, count):
+        # The run is a child under a timeout whose address space is capped at
+        # 256 MB, so that no version of the command can fill the machine's memory.
         limit = 256 * 2**20
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         out = tmp_path / "p.json"
         proc = subprocess.run(
             [sys.executable, "-m", "subent", "identities", "--max-m", str(top),
              "--max-n", str(top), "--workers", "2", "--out", str(out)],
-            capture_output=True, text=True, timeout=120, env=_source_env(),
+            capture_output=True, text=True, timeout=60, env=_source_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
+        work = (count + 1) * 2 * top * (top + math.isqrt(top))**2
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"numerical failure: {count} (m, n) pairs up to m = {top}, n = {top} are too much "
+            f"exact arithmetic: (pairs + 1) * (m + n) * (m + isqrt(n))^2 = {work} > "
+            f"{cli._IDENTITIES_WORK}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit, code", [(270, EXIT_OK), (269, EXIT_NUMERICAL)])
+    def test_identities_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, limit,
+                                                code):
+        # five pairs up to m = 2, n = 3 are (5 + 1) * 5 * (2 + 1)^2 = 270 units of work
+        monkeypatch.setattr(cli, "_IDENTITIES_WORK", limit)
+        out = tmp_path / "i.json"
+        assert main(["identities", "--max-m", "2", "--max-n", "3", "--workers", "1",
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+        assert capsys.readouterr().err == ("" if code == EXIT_OK else (
+            "numerical failure: 5 (m, n) pairs up to m = 2, n = 3 are too much exact "
+            "arithmetic: (pairs + 1) * (m + n) * (m + isqrt(n))^2 = 270 > 269\n"))
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("argv, flag, count", [
+        (["formula", "--m-range", "1..2", "--n-range", f"1..{10**20 - 1}"], "n-range",
+         10**20 - 1),
+        (["concentration", "--m-range", f"2..{10**20 - 1}"], "m-range", 10**20 - 2),
+        (["concentration", "--m-range", f"2..{10**15}"], "m-range", 10**15 - 1),
+    ], ids=["formula-past-largest-list", "concentration-past-largest-list",
+            "concentration-out-of-memory"])
+    def test_range_too_long_to_list_exits_two(self, tmp_path, argv, flag, count):
+        # a child under a timeout, its address space capped at 256 MB
+        limit = 256 * 2**20
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "subent", *argv, "--workers", "2", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=_source_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
         )
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
-        assert proc.stderr == f"numerical failure: {count} (m, n) pairs are too many to list\n"
+        assert proc.stderr == f"numerical failure: --{flag} holds {count} values, too many to list\n"
         assert not out.exists()
 
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
@@ -649,7 +720,10 @@ class TestFailurePaths:
         (["--m", "1", "--n", "1414214"], 1, 1414214),  # the first n past the limit at m = 1
         (["--m-range", "1..3", "--n", str(10**20)], 3, 3 * 10**20),
         (["--m-range", "1..200", "--n-range", "1..200"], 20100, 40000),  # many small pairs
-    ], ids=["pair", "pair-below-maxsize", "pair-past-limit", "sweep", "many-pairs"])
+        # a range below sys.maxsize whose pair list would not fit in memory here
+        (["--m-range", "1..2", "--n-range", f"1..{10**15}"], 2 * 10**15 - 1, 2 * 10**15),
+    ], ids=["pair", "pair-below-maxsize", "pair-past-limit", "sweep", "many-pairs",
+            "range-below-maxsize"])
     def test_formula_past_exact_work_limit_exits_two(self, tmp_path, argv, count, top):
         # Past the limit the exact sums run for minutes to ever, with L growing
         # to 1.44 mn bits, so the run is a child under a timeout whose address

@@ -513,6 +513,7 @@ class TestMantissaTable:
         with mp.workprec(prec):
             value, probe = oracles.scalar_table([mp.make_mpf(v) for v in exact], mp.log)
         assert _mantissa_table(exact, prec) == (value._mpf_, probe._mpf_)
+        assert _mantissa_table(exact, prec, probe=False) == (value._mpf_, None)
 
 
 class TestBatchedEscalation:
@@ -618,3 +619,89 @@ class TestEscalatedAgainstMpfTable:
                 value, probe = oracles.scalar_table([mp.mpf(v) for v in row], mp.log)
             got = _mantissa_table([libmp.from_float(v) for v in row], libmp.dps_to_prec(dps))
             assert got == (value._mpf_, probe._mpf_)
+
+
+def _adversarial_rows(m):
+    """Sorted unit-sum rows at dimension m, by kind: induced rows, a near-tie
+    just past the confluence threshold, geometric spreads, a zero eigenvalue,
+    and a 1e-12 eigenvalue, whose x^m underflows in floats from m = 26 on."""
+    induced = np.clip(np.linalg.eigvalsh(draw_induced(m, m, RngStream(53, m), 2)), 0.0, None)
+    induced = -np.sort(-induced, axis=1)
+    tie = induced[0].copy()
+    j = m // 2
+    tie[j + 1] = tie[j] - 2 * qcore._CONFLUENCE_REL * max(tie[0], 1.0 / m)
+    zero, tiny = induced[1].copy(), induced[1].copy()
+    zero[-1], tiny[-1] = 0.0, 1e-12
+    rows = {"induced-0": induced[0], "induced-1": induced[1], "near-tie": tie,
+            "geometric-0.8": 0.8 ** np.arange(m), "geometric-0.97": 0.97 ** np.arange(m),
+            "zero": zero, "tiny": tiny}
+    return {kind: -np.sort(-row / row.sum()) for kind, row in rows.items()}
+
+
+class TestProbeErrorBound:
+    """`qcore._probe_error_bound`, the a priori bound that lets a row skip the
+    40-digit table's probe column, against the probe column itself."""
+
+    PREC = libmp.dps_to_prec(40)
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 48, 64, 80, 96])
+    def test_bound_holds_and_routes_rows(self, monkeypatch, m):
+        calls = []
+
+        def spy(nodes, prec, probe=True):
+            calls.append(probe)
+            return _mantissa_table(nodes, prec, probe)
+
+        monkeypatch.setattr(qcore, "_mantissa_table", spy)
+        bounded_kinds = []
+        for kind, row in _adversarial_rows(m).items():
+            power = np.array([[v**m for v in row.tolist()]])
+            bound = qcore._probe_error_bound(row[None], power, self.PREC)[0]
+            underflow = bool(((power < qcore._POWER_FLOOR) & (row > 0.0)).any())
+            assert (bound == math.inf) == underflow, kind
+            bounded = bound < 0.5e-20
+            if bounded:
+                bounded_kinds.append(kind)
+                exact = [libmp.from_float(v) for v in row.tolist()]
+                _, probe = _mantissa_table(exact, self.PREC)
+                error = libmp.mpf_sub(probe, libmp.mpf_sum(exact), 0)  # exact
+                assert libmp.mpf_le(libmp.mpf_abs(error), libmp.from_float(bound)), kind
+            calls.clear()
+            got = _subentropy_escalated(row[None])[0]
+            assert got.hex() == oracles.subentropy_escalated_mpf(row).hex(), kind
+            # a row the float pass certifies makes no 40-digit call
+            assert calls in ([], [not bounded]), kind
+            if kind == "tiny" and m >= 32:
+                # its x^m underflows, so it takes the full table
+                assert underflow and calls == [True]
+        if m <= 32:
+            assert {"induced-0", "induced-1", "zero"} <= set(bounded_kinds)
+        if m >= 80:
+            assert bounded_kinds == []
+
+    def test_tiny_eigenvalue_underflows_at_m32(self, monkeypatch):
+        row = _adversarial_rows(32)["tiny"]
+        assert row[-1] ** 32 == 0.0 and row[-1] > 0.0
+        power = np.array([[v**32 for v in row.tolist()]])
+        assert qcore._probe_error_bound(row[None], power, self.PREC)[0] == math.inf
+        # without the floor the underflowed x^m would count as zero and pass the row
+        monkeypatch.setattr(qcore, "_POWER_FLOOR", 0.0)
+        assert qcore._probe_error_bound(row[None], power, self.PREC)[0] < 0.5e-20
+
+    def test_benchmark_rows_skip_the_probe_column(self, tmp_path, monkeypatch):
+        # the four chunks of `subentropy-m32` at seed 3: 127 of their 128 rows
+        # reach the 40-digit pass, and the bound certifies every one of them
+        from subent.cli import main
+
+        calls = []
+
+        def spy(nodes, prec, probe=True):
+            calls.append(probe)
+            return _mantissa_table(nodes, prec, probe)
+
+        monkeypatch.setattr(qcore, "_mantissa_table", spy)
+        argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples",
+                "128", "--chunk", "32", "--seed", "3", "--workers", "1",
+                "--out", str(tmp_path / "e.json")]
+        assert main(argv) == 0
+        assert calls == [False] * 127
