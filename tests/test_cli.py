@@ -657,17 +657,9 @@ class TestFailurePaths:
         (3 * 10**6, 4500001500000),  # fewer, but a list past any memory here
     ], ids=["past-largest-list", "below-maxsize"])
     def test_identities_past_exact_work_limit_exits_two(self, tmp_path, top, count):
-        # The run is a child under a timeout whose address space is capped at
-        # 256 MB, so that no version of the command can fill the machine's memory.
-        limit = 256 * 2**20
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         out = tmp_path / "p.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "subent", "identities", "--max-m", str(top),
-             "--max-n", str(top), "--workers", "2", "--out", str(out)],
-            capture_output=True, text=True, timeout=60, env=_source_env(),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
-        )
+        proc = _run_capped(["identities", "--max-m", str(top), "--max-n", str(top),
+                            "--workers", "2", "--out", str(out)])
         work = (count + 1) * 2 * top * (top + math.isqrt(top))**2
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
@@ -699,15 +691,8 @@ class TestFailurePaths:
     ], ids=["formula-past-largest-list", "concentration-past-largest-list",
             "concentration-out-of-memory"])
     def test_range_too_long_to_list_exits_two(self, tmp_path, argv, flag, count):
-        # a child under a timeout, its address space capped at 256 MB
-        limit = 256 * 2**20
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "subent", *argv, "--workers", "2", "--out", str(out)],
-            capture_output=True, text=True, timeout=60, env=_source_env(),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
-        )
+        proc = _run_capped([*argv, "--workers", "2", "--out", str(out)])
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
         assert proc.stderr == f"numerical failure: --{flag} holds {count} values, too many to list\n"
@@ -725,17 +710,10 @@ class TestFailurePaths:
     ], ids=["pair", "pair-below-maxsize", "pair-past-limit", "sweep", "many-pairs",
             "range-below-maxsize"])
     def test_formula_past_exact_work_limit_exits_two(self, tmp_path, argv, count, top):
-        # Past the limit the exact sums run for minutes to ever, with L growing
-        # to 1.44 mn bits, so the run is a child under a timeout whose address
-        # space is capped at 256 MB.
-        limit = 256 * 2**20
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        # past the limit the exact sums run for minutes to ever, with L growing
+        # to 1.44 mn bits
         out = tmp_path / "f.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "subent", "formula", *argv, "--out", str(out)],
-            capture_output=True, text=True, timeout=60, env=_source_env(),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
-        )
+        proc = _run_capped(["formula", *argv, "--out", str(out)])
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
         assert proc.stderr == (
@@ -875,6 +853,19 @@ def _source_env() -> dict:
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def _run_capped(argv):
+    """`python -m subent argv` in a child under a 60 s timeout whose address
+    space is capped at 256 MB, so that no version of a command that grows
+    without bound can fill the machine's memory."""
+    limit = 256 * 2**20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    return subprocess.run(
+        [sys.executable, "-m", "subent", *argv], capture_output=True, text=True, timeout=60,
+        env=_source_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+    )
 
 
 def test_module_entry_point(tmp_path):

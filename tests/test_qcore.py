@@ -638,6 +638,19 @@ def _adversarial_rows(m):
     return {kind: -np.sort(-row / row.sum()) for kind, row in rows.items()}
 
 
+@pytest.fixture
+def table_calls(monkeypatch):
+    """The `probe` argument of every `_mantissa_table` call, in order."""
+    calls = []
+
+    def spy(nodes, prec, probe=True):
+        calls.append(probe)
+        return _mantissa_table(nodes, prec, probe)
+
+    monkeypatch.setattr(qcore, "_mantissa_table", spy)
+    return calls
+
+
 class TestProbeErrorBound:
     """`qcore._probe_error_bound`, the a priori bound that lets a row skip the
     40-digit table's probe column, against the probe column itself."""
@@ -645,14 +658,8 @@ class TestProbeErrorBound:
     PREC = libmp.dps_to_prec(40)
 
     @pytest.mark.parametrize("m", [4, 8, 16, 32, 48, 64, 80, 96])
-    def test_bound_holds_and_routes_rows(self, monkeypatch, m):
-        calls = []
-
-        def spy(nodes, prec, probe=True):
-            calls.append(probe)
-            return _mantissa_table(nodes, prec, probe)
-
-        monkeypatch.setattr(qcore, "_mantissa_table", spy)
+    def test_bound_holds_and_routes_rows(self, table_calls, m):
+        calls = table_calls
         bounded_kinds = []
         for kind, row in _adversarial_rows(m).items():
             power = np.array([[v**m for v in row.tolist()]])
@@ -688,20 +695,13 @@ class TestProbeErrorBound:
         monkeypatch.setattr(qcore, "_POWER_FLOOR", 0.0)
         assert qcore._probe_error_bound(row[None], power, self.PREC)[0] < 0.5e-20
 
-    def test_benchmark_rows_skip_the_probe_column(self, tmp_path, monkeypatch):
+    def test_benchmark_rows_skip_the_probe_column(self, tmp_path, table_calls):
         # the four chunks of `subentropy-m32` at seed 3: 127 of their 128 rows
         # reach the 40-digit pass, and the bound certifies every one of them
         from subent.cli import main
 
-        calls = []
-
-        def spy(nodes, prec, probe=True):
-            calls.append(probe)
-            return _mantissa_table(nodes, prec, probe)
-
-        monkeypatch.setattr(qcore, "_mantissa_table", spy)
         argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples",
                 "128", "--chunk", "32", "--seed", "3", "--workers", "1",
                 "--out", str(tmp_path / "e.json")]
         assert main(argv) == 0
-        assert calls == [False] * 127
+        assert table_calls == [False] * 127
