@@ -41,6 +41,13 @@ _FORMULA_WORK = 4 * 10**12
 # where a unit took 0.2-0.8 ns on a 2-core host, so this limit is also a run of
 # at most about a minute.
 _IDENTITIES_WORK = 8 * 10**10
+# concentration's sampling work, in units of samples * sum((m + 10)^3) over the
+# swept m: G G^dagger and eigvalsh grow as m^3, and the 10 charges the fixed cost
+# of a sample that dominates small m (samples * sum(m^3) alone let an m = 2..3
+# sweep of 10^9 samples run for about half an hour). A unit took 0.4-1.2 ns on a
+# 2-core host at the default chunk, from 2..2 at 10^6 samples to 2..400 at 2, so
+# this limit too is a run of at most about a minute.
+_CONCENTRATION_WORK = 5 * 10**10
 
 
 class UsageError(Exception):
@@ -388,10 +395,15 @@ def _cmd_concentration(args, settings) -> list[dict]:
         ms = _parse_range("m-range", args.m_range)
         if ms.start < 2:
             raise UsageError("sweep dimensions must be >= 2")
-        try:
-            ms = list(ms)
-        except MemoryError as exc:
-            raise DomainError(f"--m-range holds {len(ms)} values, too many to list") from exc
+        # bounded from the range ends, before any task is listed: the sum of
+        # (m + 10)^3 is that of k^3 for low < k <= high, and sum(k^3, k <= n)
+        # is (n (n + 1))^2 / 4
+        low, high = ms.start + 9, ms.stop + 9
+        work = args.samples * ((high * (high + 1))**2 - (low * (low + 1))**2) // 4
+        if work > _CONCENTRATION_WORK:
+            raise DomainError(f"--m-range {ms.start}..{ms.stop - 1} at {args.samples} samples is "
+                              f"too much sampling: samples * sum((m + 10)^3) = {work} > "
+                              f"{_CONCENTRATION_WORK}")
         return [
             {
                 "record": "concentration",

@@ -687,9 +687,7 @@ class TestFailurePaths:
         (["formula", "--m-range", "1..2", "--n-range", f"1..{10**20 - 1}"], "n-range",
          10**20 - 1),
         (["concentration", "--m-range", f"2..{10**20 - 1}"], "m-range", 10**20 - 2),
-        (["concentration", "--m-range", f"2..{10**15}"], "m-range", 10**15 - 1),
-    ], ids=["formula-past-largest-list", "concentration-past-largest-list",
-            "concentration-out-of-memory"])
+    ], ids=["formula-past-largest-list", "concentration-past-largest-list"])
     def test_range_too_long_to_list_exits_two(self, tmp_path, argv, flag, count):
         out = tmp_path / "r.json"
         proc = _run_capped([*argv, "--workers", "2", "--out", str(out)])
@@ -720,6 +718,45 @@ class TestFailurePaths:
             f"numerical failure: {count} formula pairs up to mn = {top} are too much exact "
             f"arithmetic: (pairs + 1) * mn^2 = {(count + 1) * top**2} > {cli._FORMULA_WORK}\n")
         assert not out.exists()
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("m_range, samples", [
+        ("2..3000", 2),  # ran past a minute, listing every task first
+        (f"2..{10**15}", 2),  # below sys.maxsize, but a task list past any memory here
+        ("2..3", 10**9),  # small matrices, each sample a fixed cost
+    ], ids=["many-dimensions", "below-maxsize", "many-samples"])
+    def test_concentration_past_work_limit_exits_two(self, tmp_path, m_range, samples):
+        low, high = (int(end) for end in m_range.split(".."))
+        # the sum of k^3 for k <= n is C(n + 1, 2)^2, here for low + 10 <= k <= high + 10
+        work = samples * (math.comb(high + 11, 2)**2 - math.comb(low + 10, 2)**2)
+        out = tmp_path / "c.json"
+        proc = _run_capped(["concentration", "--m-range", m_range, "--samples", str(samples),
+                            "--workers", "2", "--out", str(out)])
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"numerical failure: --m-range {m_range} at {samples} samples is too much sampling: "
+            f"samples * sum((m + 10)^3) = {work} > {cli._CONCENTRATION_WORK}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit, code", [(15700, EXIT_OK), (15699, EXIT_NUMERICAL)])
+    def test_concentration_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, limit,
+                                                   code):
+        # four samples at m = 2 and 3 are 4 * (12^3 + 13^3) = 15700 units of work
+        monkeypatch.setattr(cli, "_CONCENTRATION_WORK", limit)
+        out = tmp_path / "c.json"
+        assert main(["concentration", "--m-range", "2..3", "--samples", "4", "--workers", "1",
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
+        assert capsys.readouterr().err == ("" if code == EXIT_OK else (
+            "numerical failure: --m-range 2..3 at 4 samples is too much sampling: "
+            "samples * sum((m + 10)^3) = 15700 > 15699\n"))
+
+    def test_benchmark_sweep_far_below_concentration_limit(self, tmp_path, monkeypatch):
+        # the sweep of the benchmark's `tails-small-m` passes a limit 100 times lower
+        monkeypatch.setattr(cli, "_CONCENTRATION_WORK", cli._CONCENTRATION_WORK // 100)
+        assert main(["concentration", "--m-range", "2..12", "--samples", "4096", "--chunk", "256",
+                     "--workers", "1", "--out", str(tmp_path / "c.json")]) == EXIT_OK
 
     @pytest.mark.parametrize("limit, code", [(72, EXIT_OK), (71, EXIT_NUMERICAL)])
     def test_formula_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, limit, code):
@@ -977,14 +1014,23 @@ def test_drawing_without_escalation_does_not_load_mpmath(tmp_path):
 
 
 def test_escalating_draw_loads_only_libmp(tmp_path):
-    # the m = 32 rows take the 40-digit pass, which loads mpmath's libmp on
+    # the m = 96 rows reach the 40-digit table, which loads mpmath's libmp on
     # its own, under qcore's private name, and not the mpmath package
-    argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples", "8",
-            "--chunk", "4", "--workers", "1", "--out", str(tmp_path / "e.json")]
+    argv = ["estimate", "--m", "96", "--n", "96", "--which", "subentropy", "--samples", "4",
+            "--chunk", "2", "--workers", "1", "--out", str(tmp_path / "e.json")]
     loaded = _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0",
                      ("mpmath", "_subent_libmp"))
     assert "_subent_libmp" in loaded
     assert [name for name in loaded if name.split(".")[0] == "mpmath"] == []
+
+
+def test_screened_draw_loads_no_libmp(tmp_path):
+    # the m = 32 rows pass the float pass uncertified, and the double-double
+    # screen settles every one of them without the 40-digit table
+    argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples", "8",
+            "--chunk", "4", "--workers", "1", "--out", str(tmp_path / "e.json")]
+    assert _loaded(f"from subent.cli import main\nassert main({argv!r}) == 0",
+                   ("mpmath", "_subent_libmp")) == []
 
 
 _BREAK_IDENTITY = """

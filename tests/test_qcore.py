@@ -2,10 +2,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import mpmath as mp
@@ -413,6 +414,21 @@ class TestSubentropyRoutes:
         for row, value in zip(rows[:2], got[:2]):
             _assert_integral_route(row, value)
 
+    @pytest.mark.parametrize("m, start, step, expected", [
+        (60, 0.05, 1e-9, 0.41447), (64, 0.01, 3e-9, 0.41499)])
+    def test_rows_whose_float_table_overflows(self, m, start, step, expected):
+        # the vectorized table overflows on these evenly spaced clusters, and
+        # its nan probe error once passed the probe test: they read inf and 0.0
+        row = start + step * np.arange(m)
+        spectrum = Spectrum(row / row.sum())
+        row = spectrum.values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the float tables
+            got = subentropy(spectrum)
+        assert got.hex() == max(0.0, _subentropy_integral(row[None])[0]).hex()
+        assert got == pytest.approx(float(oracles.subentropy_raw(row, 1000)), abs=1e-12)
+        assert got == pytest.approx(expected, abs=1e-5)
+
     def test_integral_at_large_dimension(self):
         row = np.clip(np.linalg.eigvalsh(draw_induced(256, 256, RngStream(48), 1)), 0.0, None)
         got = _subentropy_integral(row)[0]
@@ -695,13 +711,154 @@ class TestProbeErrorBound:
         monkeypatch.setattr(qcore, "_POWER_FLOOR", 0.0)
         assert qcore._probe_error_bound(row[None], power, self.PREC)[0] < 0.5e-20
 
-    def test_benchmark_rows_skip_the_probe_column(self, tmp_path, table_calls):
+    def test_benchmark_rows_skip_the_probe_column(self, tmp_path, table_calls, monkeypatch):
         # the four chunks of `subentropy-m32` at seed 3: 127 of their 128 rows
-        # reach the 40-digit pass, and the bound certifies every one of them
+        # pass the float pass uncertified, and the bound certifies every one of
+        # them, so a row the double-double screen leaves runs the value column
+        # alone; the screen leaves at most one
         from subent.cli import main
 
+        passes, workdps = [], mp.workdps
+        monkeypatch.setattr(mp, "workdps", lambda n: passes.append(n) or workdps(n))
         argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples",
                 "128", "--chunk", "32", "--seed", "3", "--workers", "1",
                 "--out", str(tmp_path / "e.json")]
         assert main(argv) == 0
-        assert table_calls == [False] * 127
+        assert passes == [40] * 127
+        assert table_calls == [False] * len(table_calls)
+        assert len(table_calls) <= 1
+
+
+def _node_terms(rows):
+    """The float pass's x^m and x^m ln x of (k, m) rows, from libm."""
+    m = rows.shape[1]
+    power = np.array([[v**m for v in row] for row in rows.tolist()])
+    terms = np.array([[p * math.log(v) if v > 0 else p for p, v in zip(ps, row)]
+                      for ps, row in zip(power.tolist(), rows.tolist())])
+    return power, terms
+
+
+def _forty_digit_value(row) -> float:
+    """The value column of the table on `mp.mpf` numbers at 40 digits, as a float."""
+    with mp.workdps(40):
+        value, _ = oracles.scalar_table([mp.mpf(v) for v in row.tolist()], mp.log)
+        return max(0.0, float(value))
+
+
+@st.composite
+def _screen_rows(draw):
+    """Sorted unit-sum rows of 2 to 40 distinct nodes: uniform draws,
+    geometric spreads, and rows with a cluster, a zero or 1e-12 eigenvalues."""
+    m = draw(st.one_of(st.integers(2, 40), st.integers(24, 40)))
+    kind = draw(st.sampled_from(["uniform", "geometric", "cluster", "zero", "tiny"]))
+    row = RngStream(draw(st.integers(0, 2**32 - 1))).generator().random(m) + 0.01
+    if kind == "geometric":
+        row = draw(st.floats(0.5, 0.99)) ** np.arange(m)
+    elif kind == "cluster":
+        size = draw(st.integers(2, max(2, m // 2)))
+        row[:size] = row[0] + draw(st.sampled_from([1e-7, 1e-5, 1e-3])) * np.arange(size)
+    elif kind == "zero":
+        row[-1] = 0.0
+    elif kind == "tiny":
+        count = draw(st.integers(1, min(3, m - 1)))
+        row[-count:] = 1e-12 * (1.0 + np.arange(count))
+    row = -np.sort(-row / row.sum())
+    assume((row[:-1] - row[1:] >= 2 * qcore._CONFLUENCE_REL * max(row[0], 1.0 / m)).all())
+    return row
+
+
+class TestDoubleDoubleScreen:
+    """`qcore._double_double_table` and `_rounds_to_high`, which settle a
+    40-digit row without the 40-digit table, against libmp and mpmath."""
+
+    V2 = 2.0**-106  # the square of the float unit roundoff
+
+    @staticmethod
+    def _floats():
+        # 10^4 floats in (2^-60, 1]: log-uniform, and both sides of 1, 1/2
+        # and the reduction's 1/sqrt(2)
+        x = np.exp2(-60.0 * RngStream(59).generator().random(10_000))
+        edges = [1.0, 0.5, qcore._SQRT_HALF, 2.0**-60 * (1 + 2.0**-52)]
+        edges += [np.nextafter(v, d) for v in edges[:3] for d in (0.0, 2.0)]
+        return np.concatenate([x, np.minimum(edges, 1.0)])
+
+    def test_log_within_its_bound(self):
+        x = self._floats()
+        high, low = qcore._dd_log(x)
+        with mp.workprec(300):
+            for v, h, l in zip(x.tolist(), high.tolist(), low.tolist()):
+                exact = mp.log(v)
+                assert abs(mp.mpf(h) + mp.mpf(l) - exact) <= 104 * self.V2 * abs(exact), v
+
+    @pytest.mark.parametrize("m", [2, 5, 32, 48])
+    def test_power_within_its_bound(self, m):
+        x = self._floats()
+        x = x[x**m >= qcore._DD_POWER_FLOOR]
+        high, low = qcore._dd_power(x, m)
+        with mp.workprec(300):
+            bound = (1 + 8 * mp.mpf(self.V2))**(m - 1) - 1
+            for v, h, l in zip(x.tolist(), high.tolist(), low.tolist()):
+                exact = mp.mpf(v)**m
+                assert abs(mp.mpf(h) + mp.mpf(l) - exact) <= bound * exact, v
+
+    @given(row=_screen_rows())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bound_holds_and_settled_rows_keep_their_bits(self, row):
+        high, low, error = (a[0] for a in qcore._double_double_table(row[None], *_node_terms(row[None])))
+        if math.isfinite(error):
+            exact = [libmp.from_float(v) for v in row.tolist()]
+            forty = _mantissa_table(exact, qcore._PREC, probe=False)[0]
+            with mp.workdps(400):
+                pole_sum = oracles.subentropy_raw(row, 400)
+                assert abs(mp.mpf(high) + mp.mpf(low) - pole_sum) <= error
+                assert abs(mp.mpf(forty) - pole_sum) <= error
+        if qcore._rounds_to_high(high, low, error):
+            assert high.hex() == _forty_digit_value(row).hex()
+        got = _subentropy_escalated(row[None])[0]
+        assert got.hex() == oracles.subentropy_escalated_mpf(row).hex()
+
+    def test_row_near_a_rounding_midpoint_is_declined(self, table_calls):
+        # an induced row at m = 40 with its largest node moved up by k ulps:
+        # for some k the value lies within E of a midpoint between two floats
+        m = 40
+        base = np.clip(np.linalg.eigvalsh(draw_induced(m, m, RngStream(53, m), 1)), 0.0, None)[0]
+        rows = np.tile(-np.sort(-base), (64, 1))
+        rows[:, 0] += np.arange(64) * math.ulp(rows[0, 0])
+        high, low, error = qcore._double_double_table(rows, *_node_terms(rows))
+        half_gap = 0.5 * (high - np.nextafter(high, 0.0))
+        near = np.nonzero((np.abs(low) < half_gap) & (half_gap <= np.abs(low) + error))[0]
+        assert near.size
+        j = near[0]
+        assert not qcore._rounds_to_high(high[j], low[j], error[j])
+        got = _subentropy_escalated(rows[j][None])[0]
+        assert table_calls == [False]  # the 40-digit value column decides the row
+        assert got.hex() == oracles.subentropy_escalated_mpf(rows[j]).hex()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_benchmark_rows_match_the_oracle(self, tmp_path, monkeypatch, seed):
+        # every row of the four chunks of `subentropy-m32`, by float bits
+        from subent import montecarlo
+        from subent.cli import main
+
+        chunks = []
+
+        def recorded(z):
+            out = subentropy_values(z)
+            chunks.append((z.copy(), out))
+            return out
+
+        monkeypatch.setattr(montecarlo, "subentropy_values", recorded)
+        argv = ["estimate", "--m", "32", "--n", "32", "--which", "subentropy", "--samples",
+                "128", "--chunk", "32", "--seed", str(seed), "--workers", "1",
+                "--out", str(tmp_path / "e.json")]
+        assert main(argv) == 0
+        assert len(chunks) == 4
+        for z, out in chunks:
+            rows = -np.sort(-z, axis=1)
+            plain, probe_error = _divided_difference_plain(rows)
+            for row, value, vector, error in zip(rows, out, plain, probe_error):
+                expected = max(0.0, vector) if error <= 1e-11 else oracles.subentropy_escalated_mpf(row)
+                assert value.hex() == expected.hex()
+
+    def test_prec_is_forty_digits(self):
+        assert qcore._PREC == libmp.dps_to_prec(qcore._DIGITS)
