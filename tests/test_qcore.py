@@ -417,8 +417,9 @@ class TestSubentropyRoutes:
     @pytest.mark.parametrize("m, start, step, expected", [
         (60, 0.05, 1e-9, 0.41447), (64, 0.01, 3e-9, 0.41499)])
     def test_rows_whose_float_table_overflows(self, m, start, step, expected):
-        # the vectorized table overflows on these evenly spaced clusters, and
-        # its nan probe error once passed the probe test: they read inf and 0.0
+        # the vectorized table overflows on these evenly spaced clusters, so
+        # its probe error is nan, which must fail the probe test: counted as
+        # passing, these rows read inf and 0.0
         row = start + step * np.arange(m)
         spectrum = Spectrum(row / row.sum())
         row = spectrum.values
