@@ -34,7 +34,6 @@ _EXPORTS = {
         "gamma_ratio_sum_harmonic",
         "gamma_ratio_sum_plain",
         "riordan_identity_check",
-        "selberg_quadrature_oracle",
     ),
     "montecarlo": (
         "ConcentrationRow",

@@ -42,12 +42,15 @@ _FORMULA_WORK = 4 * 10**12
 # at most about a minute.
 _IDENTITIES_WORK = 8 * 10**10
 # concentration's sampling work, in units of samples * sum((m + 10)^3) over the
-# swept m: G G^dagger and eigvalsh grow as m^3, and the 10 charges the fixed cost
-# of a sample that dominates small m (samples * sum(m^3) alone let an m = 2..3
-# sweep of 10^9 samples run for about half an hour). A unit took 0.4-1.2 ns on a
+# swept m, plus _CHUNK_WORK per chunk: G G^dagger and eigvalsh grow as m^3, the 10
+# charges the fixed cost of a sample that dominates small m (samples * sum(m^3)
+# alone let an m = 2..3 sweep of 10^9 samples run for about half an hour), and a
+# chunk's own stream, arrays and summary took 50-120 us (without that term a
+# --chunk 1 sweep could run for tens of minutes). A unit took 0.4-1.2 ns on a
 # 2-core host at the default chunk, from 2..2 at 10^6 samples to 2..400 at 2, so
 # this limit too is a run of at most about a minute.
 _CONCENTRATION_WORK = 5 * 10**10
+_CHUNK_WORK = 10**5
 
 
 class UsageError(Exception):
@@ -399,11 +402,13 @@ def _cmd_concentration(args, settings) -> list[dict]:
         # (m + 10)^3 is that of k^3 for low < k <= high, and sum(k^3, k <= n)
         # is (n (n + 1))^2 / 4
         low, high = ms.start + 9, ms.stop + 9
-        work = args.samples * ((high * (high + 1))**2 - (low * (low + 1))**2) // 4
+        chunks = (ms.stop - ms.start) * -(-args.samples // settings["chunk"])
+        work = (args.samples * ((high * (high + 1))**2 - (low * (low + 1))**2) // 4
+                + _CHUNK_WORK * chunks)
         if work > _CONCENTRATION_WORK:
-            raise DomainError(f"--m-range {ms.start}..{ms.stop - 1} at {args.samples} samples is "
-                              f"too much sampling: samples * sum((m + 10)^3) = {work} > "
-                              f"{_CONCENTRATION_WORK}")
+            raise DomainError(f"--m-range {ms.start}..{ms.stop - 1} at {args.samples} samples in "
+                              f"{chunks} chunks is too much sampling: samples * sum((m + 10)^3) + "
+                              f"{_CHUNK_WORK} * chunks = {work} > {_CONCENTRATION_WORK}")
         return [
             {
                 "record": "concentration",
@@ -434,10 +439,10 @@ def _cmd_identities(args, settings) -> list[dict]:
     if args.max_m > args.max_n:
         # every pair has m <= n, so m above --max-n would be dropped unchecked
         raise UsageError("--max-m must not exceed --max-n")
-    # (m, k, alpha); k None is the Selberg normalization, k >= 1 an Aomoto moment
+    # (m, k, alpha): k = 0 is the Selberg integral, recorded with k null, and
+    # k >= 1 its Aomoto moments
     integrals = [(m, k, alpha) for m in sorted(identities.QUADRATURE_TARGETS)
-                 for alpha in QUADRATURE_ALPHAS for k in (None, *range(1, m + 1))
-                 ] if args.quadrature else []
+                 for alpha in QUADRATURE_ALPHAS for k in range(m + 1)] if args.quadrature else []
     # rows m = 1 .. max_m of max_n - m + 1 pairs each, bounded before they are listed
     count = args.max_m * (2 * args.max_n - args.max_m + 1) // 2
     work = (count + 1) * (args.max_m + args.max_n) * (args.max_m + math.isqrt(args.max_n))**2
@@ -458,18 +463,15 @@ def _cmd_identities(args, settings) -> list[dict]:
         for name, lhs, rhs, holds in checks
     ]
     for (m, k, alpha), value in zip(integrals, results):
-        if k is None:
-            name, closed = "selberg_simplex", closedform.normalization_integral(m, alpha)
-        else:
-            name, closed = "aomoto_moment", identities.aomoto_moment_closed(m, k, alpha)
+        closed = math.exp(closedform.aomoto_moment_log(m, k, alpha))
         tolerance = identities.QUADRATURE_TARGETS[m]
         rel = abs(value - closed) / abs(closed)
         rows.append(
             {
                 "record": "quadrature",
-                "name": name,
+                "name": "aomoto_moment" if k else "selberg_simplex",
                 "m": m,
-                "k": k,
+                "k": k or None,
                 "alpha": alpha,
                 "value": value,
                 "closed_form": closed,
@@ -485,7 +487,7 @@ def _identities_task(task):
     """An (m, k, alpha) integral, or the three exact identities at a pair (m, n)
     as (name, lhs, rhs, holds) tuples; runs in a worker when there are several."""
     if len(task) == 3:
-        return _quadrature_value(task)
+        return identities.aomoto_quadrature_oracle(*task)
     m, n = task
     return [
         (report.name, str(report.lhs), str(report.rhs), report.holds)
@@ -495,14 +497,6 @@ def _identities_task(task):
             identities.riordan_identity_check(m, n),
         )
     ]
-
-
-def _quadrature_value(task) -> float:
-    """One certified quadrature oracle."""
-    m, k, alpha = task
-    if k is None:
-        return identities.selberg_quadrature_oracle(m, alpha)
-    return identities.aomoto_quadrature_oracle(m, k, alpha)
 
 
 def average_embedded_entanglement(*args, **kwargs):

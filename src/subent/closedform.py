@@ -85,14 +85,9 @@ def aomoto_moment_log(m: int, k: int, alpha: float) -> float:
     return total
 
 
-def normalization_integral_log(m: int, alpha: float) -> float:
-    """log of the trace-constrained eigenvalue integral whose reciprocal normalizes the measure."""
-    return aomoto_moment_log(m, 0, alpha)
-
-
 def normalization_integral(m: int, alpha: float) -> float:
-    """Total mass of the unnormalized eigenvalue density on the simplex."""
-    return math.exp(normalization_integral_log(m, alpha))
+    """Total mass of the unnormalized eigenvalue density on the simplex: the k = 0 product."""
+    return math.exp(aomoto_moment_log(m, 0, alpha))
 
 
 def gamma_ratio_terms(m: int, n: int) -> list[int]:

@@ -13,8 +13,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .closedform import (_check_pair, aomoto_moment_log, gamma_ratio_terms, harmonic,
-                         harmonic_weighted_sum)
+from .closedform import _check_pair, gamma_ratio_terms, harmonic, harmonic_weighted_sum
 from .errors import DomainError, QuadratureFailure
 
 # `quadpack` is imported by the quadrature oracles only, so the exact checks
@@ -75,11 +74,6 @@ def riordan_identity_check(m: int, n: int) -> IdentityReport:
         if lhs != rhs:
             break
     return IdentityReport("riordan_product", (m, n), Fraction(lhs), Fraction(rhs), lhs == rhs)
-
-
-def aomoto_moment_closed(m: int, k: int, alpha: float) -> float:
-    """The k-moment simplex integral: `closedform.aomoto_moment_log` exponentiated."""
-    return math.exp(aomoto_moment_log(m, k, alpha))
 
 
 def _triangle_quad(row: Callable[[float], Callable[[float], float]], epsabs: float,
@@ -187,35 +181,22 @@ def _simplex_integral(m: int, alpha: float, moment: int) -> tuple[float, float]:
     return _triangle_quad(row, scale * target * 1e-3, target * 1e-2, panels)
 
 
-def _simplex_quadrature(m: int, alpha: float, moment: int) -> float:
-    """The simplex integral, certified to QUADRATURE_TARGETS[m] relative accuracy."""
-    value, err = _simplex_integral(m, alpha, moment)
-    if not (math.isfinite(value) and err <= QUADRATURE_TARGETS[m] * abs(value)):
-        raise QuadratureFailure(f"{m - 1}-D error estimate {err:.3g} above target")
-    return value
+def aomoto_quadrature_oracle(m: int, k: int, alpha: float) -> float:
+    """Quadrature value of the k-moment simplex integral, k = 0 the Selberg integral.
 
-
-def selberg_quadrature_oracle(m: int, alpha: float) -> float:
-    """Quadrature value of the trace-constrained Vandermonde-squared integral.
-
-    Integrates delta(1 - sum) |Vandermonde|^2 prod x^(alpha-1) directly, as an
-    independent check on the Gamma-product evaluation in `closedform`. Only
+    Integrates delta(1 - sum) |Vandermonde|^2 prod x^(alpha-1) times the first
+    k coordinates directly, as an independent check on the Gamma product in
+    `closedform`, certified to QUADRATURE_TARGETS[m] relative accuracy. Only
     m in {2, 3} keeps the dimension low enough for certified adaptive
     quadrature.
     """
-    if not 0 < alpha < math.inf:
-        raise DomainError("alpha must be positive and finite")
     if m not in QUADRATURE_TARGETS:
         raise DomainError("the quadrature oracle covers m in {2, 3}")
-    return _simplex_quadrature(m, alpha, moment=0)
-
-
-def aomoto_quadrature_oracle(m: int, k: int, alpha: float) -> float:
-    """Quadrature value of the k-moment simplex integral, for m in {2, 3}."""
-    if m not in QUADRATURE_TARGETS:
-        raise DomainError("the quadrature oracle covers m in {2, 3}")
-    if not 1 <= k <= m:
-        raise DomainError(f"need 1 <= k <= m, got k={k}")
+    if not 0 <= k <= m:
+        raise DomainError(f"need 0 <= k <= m, got k={k}")
     if not 0 < alpha < math.inf:
         raise DomainError("alpha must be positive and finite")
-    return _simplex_quadrature(m, alpha, moment=k)
+    value, err = _simplex_integral(m, alpha, k)
+    if not (math.isfinite(value) and err <= QUADRATURE_TARGETS[m] * abs(value)):
+        raise QuadratureFailure(f"{m - 1}-D error estimate {err:.3g} above target")
+    return value

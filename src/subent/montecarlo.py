@@ -15,6 +15,7 @@ nothing is resampled, since that would bias the measure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,21 +101,19 @@ class ConcentrationRow:
     target: float
 
 
-def _chunk_sizes(samples: int, chunk: int) -> list[int]:
+def _tasks(heads: list[tuple], seed: int, samples: int, chunk: int) -> list[tuple]:
+    """One task per chunk of each head, the chunks of a head consecutive: the
+    head, then the seed, chunk index and chunk size."""
     if chunk < 1:
         raise DomainError("chunk size must be positive")
+    count = -(-samples // chunk)
     try:
-        sizes = [chunk] * (samples // chunk)
+        tasks = [None] * (len(heads) * count)  # a list past any memory fails here, at once
+        for j, (head, index) in enumerate(itertools.product(heads, range(count))):
+            tasks[j] = (*head, seed, index, min(chunk, samples - index * chunk))
     except (MemoryError, OverflowError) as exc:  # OverflowError: past the largest list
-        raise DomainError(f"{-(-samples // chunk)} chunks are too many to list") from exc
-    if samples % chunk:
-        sizes.append(samples % chunk)
-    return sizes
-
-
-def _tasks(head: tuple, seed: int, samples: int, chunk: int) -> list[tuple]:
-    """One task per chunk: `head`, then the seed, chunk index and chunk size."""
-    return [(*head, seed, index, size) for index, size in enumerate(_chunk_sizes(samples, chunk))]
+        raise DomainError(f"{len(heads) * count} chunks are too many to list") from exc
+    return tasks
 
 
 def _run_ordered(fn, tasks, workers: int) -> list:
@@ -122,6 +121,8 @@ def _run_ordered(fn, tasks, workers: int) -> list:
         return run_ordered(fn, tasks, workers)
     except np.linalg.LinAlgError as exc:  # from any chunk's eigensolver, here or in a worker
         raise ConvergenceFailure(str(exc)) from exc
+    except MemoryError as exc:  # every chunk's summary is held until the merge
+        raise DomainError(f"{len(tasks)} chunks are too many to list") from exc
 
 
 def _merge(parts: list[MonteCarloEstimate]) -> MonteCarloEstimate:
@@ -193,7 +194,8 @@ def estimate_induced(
         raise DomainError("the concentration bound needs m >= 3")
     if not all(math.isfinite(e) and e > 0 for e in eps):
         raise DomainError("epsilons must be positive and finite")
-    parts = _run_ordered(_induced_chunk, _tasks((m, n, which, eps), seed, samples, chunk), workers)
+    tasks = _tasks([(m, n, which, eps)], seed, samples, chunk)
+    parts = _run_ordered(_induced_chunk, tasks, workers)
     estimates = {w: _merge([summaries[w] for summaries, _ in parts]) for w in which}
     center = (m - 1) / (2 * n)
     tails = [
@@ -249,9 +251,9 @@ def concentration_sweep(
         raise DomainError("the sweep needs m >= 2")
     if samples < 2:
         raise DomainError("need at least two samples")
-    tasks = [task for m in ms for task in _tasks((m, m, ("coherence",), ()), seed, samples, chunk)]
+    tasks = _tasks([(m, m, ("coherence",), ()) for m in ms], seed, samples, chunk)
     parts = _run_ordered(_induced_chunk, tasks, workers)
-    per_m = len(_chunk_sizes(samples, chunk))
+    per_m = -(-samples // chunk)
     rows = []
     for i, m in enumerate(ms):
         est = _merge([summaries["coherence"] for summaries, _ in parts[i * per_m:(i + 1) * per_m]])

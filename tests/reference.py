@@ -313,7 +313,7 @@ def estimate_isospectral_coherence(
     if samples < 2:
         raise DomainError("need at least two samples")
     values = tuple(float(v) for v in spec.values)
-    tasks = _tasks((values,), seed, samples, chunk)
+    tasks = _tasks([(values,)], seed, samples, chunk)
     return _merge(_run_ordered(_isospectral_chunk, tasks, workers))
 
 
@@ -380,7 +380,7 @@ def lipschitz_check(
         raise DomainError(f"which must be one of {LIPSCHITZ_FUNCTIONALS}")
     if pairs < 1:
         raise DomainError("need at least one pair")
-    tasks = _tasks((m, n, which), seed, pairs, chunk)
+    tasks = _tasks([(m, n, which)], seed, pairs, chunk)
     peak, evaluated, skipped = 0.0, 0, 0
     for part_peak, part_evaluated, part_skipped in _run_ordered(_lipschitz_chunk, tasks, workers):
         peak = max(peak, part_peak)

@@ -16,6 +16,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import oracles
+from conftest import source_env
 from subent import cli, closedform, estimate_functional, pool
 from subent.cli import (
     EXIT_NUMERICAL,
@@ -505,11 +506,9 @@ class TestRecordsDecideExit:
         assert sum('"holds":false' in line for line in text.splitlines()) == 3
 
     def test_quadrature_violation_exits_three(self, tmp_path, monkeypatch):
-        from subent import identities
-
-        closed = identities.aomoto_moment_closed
-        monkeypatch.setattr(identities, "aomoto_moment_closed",
-                            lambda m, k, alpha: 1.01 * closed(m, k, alpha))
+        log = closedform.aomoto_moment_log
+        monkeypatch.setattr(closedform, "aomoto_moment_log",
+                            lambda m, k, alpha: log(m, k, alpha) + math.log(1.01) * (k > 0))
         code, text = run_to_file(tmp_path, "q.json",
                                  ["identities", "--max-m", "1", "--max-n", "1", "--quadrature"])
         assert code == EXIT_VIOLATION
@@ -519,12 +518,10 @@ class TestRecordsDecideExit:
         assert all(row["holds"] for row in rows if row["record"] == "identity")
 
     def test_quadrature_violation_exits_three_on_two_workers(self, tmp_path, monkeypatch, capfd):
-        from subent import identities
-
         # the closed forms are computed in the parent, the integrals in the workers
-        closed = identities.aomoto_moment_closed
-        monkeypatch.setattr(identities, "aomoto_moment_closed",
-                            lambda m, k, alpha: 1.01 * closed(m, k, alpha))
+        log = closedform.aomoto_moment_log
+        monkeypatch.setattr(closedform, "aomoto_moment_log",
+                            lambda m, k, alpha: log(m, k, alpha) + math.log(1.01) * (k > 0))
         code, text = run_to_file(tmp_path, "q.json", ["identities", "--max-m", "1", "--max-n", "1",
                                                       "--quadrature", "--workers", "2"])
         assert code == EXIT_VIOLATION
@@ -573,7 +570,7 @@ class TestFailurePaths:
         ["identities", "--max-m", "2", "--max-n", "2", "--quadrature"],
     ], ids=["formula-pair", "formula-sweep", "identities"])
     def test_full_standard_output_is_one_line(self, argv, workers, unbuffered):
-        env = {k: v for k, v in _source_env().items() if k != "PYTHONUNBUFFERED"}
+        env = {k: v for k, v in source_env().items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
@@ -652,6 +649,26 @@ class TestFailurePaths:
         assert not out.exists()
 
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--m", "2", "--n", "2", "--which", "coherence"],
+         "5000000 chunks are too many to list"),
+        # the work bound's chunk term turns this sweep away before its tasks are listed
+        (["concentration", "--m-range", "2..2"],
+         "--m-range 2..2 at 5000000 samples in 5000000 chunks is too much sampling: "),
+    ], ids=["estimate", "concentration"])
+    def test_chunk_tasks_past_memory_exit_two(self, tmp_path, argv, message, workers):
+        # 5 * 10^6 chunk sizes would fit in memory here, but their task tuples do not
+        out = tmp_path / "t.json"
+        proc = _run_capped([*argv, "--samples", "5000000", "--chunk", "1", "--workers", workers,
+                            "--out", str(out)])
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"numerical failure: {message}")
+        assert not out.exists()
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
     @pytest.mark.parametrize("top, count", [
         (10**20 - 1, (10**20 - 1) * 10**20 // 2),  # more pairs than any list holds
         (3 * 10**6, 4500001500000),  # fewer, but a list past any memory here
@@ -720,37 +737,41 @@ class TestFailurePaths:
         assert not out.exists()
 
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
-    @pytest.mark.parametrize("m_range, samples", [
-        ("2..3000", 2),  # ran past a minute, listing every task first
-        (f"2..{10**15}", 2),  # below sys.maxsize, but a task list past any memory here
-        ("2..3", 10**9),  # small matrices, each sample a fixed cost
-    ], ids=["many-dimensions", "below-maxsize", "many-samples"])
-    def test_concentration_past_work_limit_exits_two(self, tmp_path, m_range, samples):
+    @pytest.mark.parametrize("m_range, samples, chunk", [
+        ("2..3000", 2, 1024),  # ran past a minute, listing every task first
+        (f"2..{10**15}", 2, 1024),  # below sys.maxsize, but a task list past any memory here
+        ("2..3", 10**9, 1024),  # small matrices, each sample a fixed cost
+        ("2..2", 10**6, 1),  # 10^6 chunks of one sample: about 85 s, under the sample term
+    ], ids=["many-dimensions", "below-maxsize", "many-samples", "many-chunks"])
+    def test_concentration_past_work_limit_exits_two(self, tmp_path, m_range, samples, chunk):
         low, high = (int(end) for end in m_range.split(".."))
+        chunks = (high - low + 1) * -(-samples // chunk)
         # the sum of k^3 for k <= n is C(n + 1, 2)^2, here for low + 10 <= k <= high + 10
-        work = samples * (math.comb(high + 11, 2)**2 - math.comb(low + 10, 2)**2)
+        work = samples * (math.comb(high + 11, 2)**2 - math.comb(low + 10, 2)**2) + 10**5 * chunks
         out = tmp_path / "c.json"
         proc = _run_capped(["concentration", "--m-range", m_range, "--samples", str(samples),
-                            "--workers", "2", "--out", str(out)])
+                            "--chunk", str(chunk), "--workers", "2", "--out", str(out)])
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
         assert proc.stderr == (
-            f"numerical failure: --m-range {m_range} at {samples} samples is too much sampling: "
-            f"samples * sum((m + 10)^3) = {work} > {cli._CONCENTRATION_WORK}\n")
+            f"numerical failure: --m-range {m_range} at {samples} samples in {chunks} chunks is "
+            f"too much sampling: samples * sum((m + 10)^3) + 100000 * chunks = {work} > "
+            f"{cli._CONCENTRATION_WORK}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("limit, code", [(15700, EXIT_OK), (15699, EXIT_NUMERICAL)])
+    @pytest.mark.parametrize("limit, code", [(215700, EXIT_OK), (215699, EXIT_NUMERICAL)])
     def test_concentration_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, limit,
                                                    code):
-        # four samples at m = 2 and 3 are 4 * (12^3 + 13^3) = 15700 units of work
+        # four samples at m = 2 and 3 in one chunk each are
+        # 4 * (12^3 + 13^3) + 10^5 * 2 = 215700 units of work
         monkeypatch.setattr(cli, "_CONCENTRATION_WORK", limit)
         out = tmp_path / "c.json"
         assert main(["concentration", "--m-range", "2..3", "--samples", "4", "--workers", "1",
                      "--out", str(out)]) == code
         assert out.exists() == (code == EXIT_OK)
         assert capsys.readouterr().err == ("" if code == EXIT_OK else (
-            "numerical failure: --m-range 2..3 at 4 samples is too much sampling: "
-            "samples * sum((m + 10)^3) = 15700 > 15699\n"))
+            "numerical failure: --m-range 2..3 at 4 samples in 2 chunks is too much sampling: "
+            "samples * sum((m + 10)^3) + 100000 * chunks = 215700 > 215699\n"))
 
     def test_benchmark_sweep_far_below_concentration_limit(self, tmp_path, monkeypatch):
         # the sweep of the benchmark's `tails-small-m` passes a limit 100 times lower
@@ -881,17 +902,6 @@ class TestCsvFormat:
         assert len(lines) == 2 + 1 + 3  # manifest, header, estimate row, three tails
 
 
-def _source_env() -> dict:
-    """The environment with this checkout's `src` leading PYTHONPATH, so a
-    child interpreter imports the package under test."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), os.pardir, "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    return env
-
-
 def _run_capped(argv):
     """`python -m subent argv` in a child under a 60 s timeout whose address
     space is capped at 256 MB, so that no version of a command that grows
@@ -900,7 +910,7 @@ def _run_capped(argv):
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     return subprocess.run(
         [sys.executable, "-m", "subent", *argv], capture_output=True, text=True, timeout=60,
-        env=_source_env(),
+        env=source_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
     )
 
@@ -913,7 +923,7 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
-        env=_source_env(),
+        env=source_env(),
     )
     assert proc.returncode == 0
     assert '"avg_coherence":"1/4"' in out.read_text(encoding="utf-8")
@@ -924,7 +934,7 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import sys, subent.cli\n"
          "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=120, env=_source_env(),
+        capture_output=True, text=True, timeout=120, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -938,7 +948,7 @@ def test_quadrature_sweep_does_not_load_scipy(tmp_path):
          "import sys\nfrom subent.cli import main\n"
          f"code = main({argv!r})\n"
          "print(code, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=120, env=_source_env(),
+        capture_output=True, text=True, timeout=120, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
@@ -951,7 +961,7 @@ def _loaded(code: str, packages=("numpy", "mpmath")) -> list[str]:
         [sys.executable, "-c",
          code + "\nimport json, sys\n"
          f"print(json.dumps(sorted(k for k in sys.modules if k.split('.')[0] in {packages!r})))"],
-        capture_output=True, text=True, timeout=120, env=_source_env(),
+        capture_output=True, text=True, timeout=120, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -968,8 +978,8 @@ def test_import_does_not_load_the_pool():
 
 _COUNT_FORKS = """
 import os
-from subent import cli
-parent, forks, fork, value = os.getpid(), [], os.fork, cli._quadrature_value
+from subent import cli, identities
+parent, forks, fork, oracle = os.getpid(), [], os.fork, identities.aomoto_quadrature_oracle
 
 def counted_fork():
     pid = fork()
@@ -977,11 +987,11 @@ def counted_fork():
         forks.append(pid)
     return pid
 
-def in_child(task):
+def in_child(m, k, alpha):
     assert os.getpid() != parent, "integrated in the parent process"
-    return value(task)
+    return oracle(m, k, alpha)
 
-os.fork, cli._quadrature_value = counted_fork, in_child
+os.fork, identities.aomoto_quadrature_oracle = counted_fork, in_child
 """
 
 
@@ -1051,7 +1061,7 @@ def test_closed_pipe_keeps_exit_code(setup, argv, expected):
     proc = subprocess.Popen(
         [sys.executable, "-c",
          setup + f"\nimport sys\nfrom subent.cli import run\nsys.argv = ['subent'] + {argv!r}\nrun()"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(),
     )
     assert proc.stdout.readline().startswith(b'{"record":"manifest"')
     proc.stdout.close()
@@ -1072,7 +1082,7 @@ def _mask_timestamps(text: str) -> str:
 ], ids=["estimate", "formula"])
 def test_module_run_writes_what_main_writes(argv, capsys):
     proc = subprocess.run([sys.executable, "-m", "subent"] + argv, capture_output=True,
-                          timeout=120, env=_source_env())
+                          timeout=120, env=source_env())
     assert main(argv) == proc.returncode == EXIT_OK
     assert proc.stderr == b""
     assert _mask_timestamps(proc.stdout.decode("utf-8")) == _mask_timestamps(capsys.readouterr().out)
@@ -1083,7 +1093,7 @@ def test_run_exit_code_is_the_records():
         [sys.executable, "-c",
          _BREAK_IDENTITY + "\nimport sys\nfrom subent.cli import run\n"
          "sys.argv = ['subent', 'identities', '--max-m', '2', '--max-n', '2']\nrun()"],
-        capture_output=True, timeout=120, env=_source_env(),
+        capture_output=True, timeout=120, env=source_env(),
     )
     assert proc.returncode == EXIT_VIOLATION
     assert proc.stderr == b""

@@ -16,11 +16,11 @@ from subent import (
     gamma_ratio_sum_plain,
     normalization_integral,
     riordan_identity_check,
-    selberg_quadrature_oracle,
 )
 from subent import identities
 from subent.cli import main
-from subent.identities import QUADRATURE_TARGETS, aomoto_moment_closed
+from subent.closedform import aomoto_moment_log
+from subent.identities import QUADRATURE_TARGETS
 
 
 class TestGammaRatioSums:
@@ -114,72 +114,59 @@ class TestIdentityReport:
             IdentityReport("x", (1, 1), Fraction(1), Fraction(2), True)
 
 
-class TestSelbergQuadratureOracle:
+def _closed(m, k, alpha):
+    return math.exp(aomoto_moment_log(m, k, alpha))
+
+
+class TestAomotoQuadratureOracle:
     def test_m2_unit_alpha(self):
-        assert selberg_quadrature_oracle(2, 1.0) == pytest.approx(1 / 3, rel=1e-9)
+        # k = 0 is the Selberg integral: int_0^1 (2l - 1)^2 dl = 1/3
+        assert aomoto_quadrature_oracle(2, 0, 1.0) == pytest.approx(1 / 3, rel=1e-9)
+
+    def test_m2_full_moment(self):
+        # int_0^1 l (1 - l) (2l - 1)^2 dl = 1/30
+        assert aomoto_quadrature_oracle(2, 2, 1.0) == pytest.approx(1 / 30, rel=1e-9)
+        assert _closed(2, 2, 1.0) == pytest.approx(1 / 30, rel=1e-12)
+
+    def test_m2_single_moment_symmetry(self):
+        # the single moment is half of the full mass by symmetry of l <-> 1-l
+        value = aomoto_quadrature_oracle(2, 1, 1.0)
+        mass = aomoto_quadrature_oracle(2, 0, 1.0)
+        assert value == pytest.approx(mass / 2, rel=1e-9)
+        assert value == pytest.approx(_closed(2, 1, 1.0), rel=1e-9)
 
     def test_matches_closed_form_on_grid(self):
         for m in (2, 3):
             tolerance = QUADRATURE_TARGETS[m]
             for alpha in (1.0, 1.5, 2.0, 3.0):
-                value = selberg_quadrature_oracle(m, alpha)
-                closed = normalization_integral(m, alpha)
-                assert value == pytest.approx(closed, rel=tolerance)
+                assert normalization_integral(m, alpha) == _closed(m, 0, alpha)
+                for k in range(m + 1):
+                    value = aomoto_quadrature_oracle(m, k, alpha)
+                    assert value == pytest.approx(_closed(m, k, alpha), rel=tolerance)
+
+    def test_closed_form_positive(self):
+        for m in (2, 3):
+            for k in range(m + 1):
+                assert _closed(m, k, 1.7) > 0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            selberg_quadrature_oracle(4, 1.0)
-        with pytest.raises(DomainError):
-            selberg_quadrature_oracle(2, -1.0)
-        for alpha in (math.nan, math.inf):
+        for m, k in ((2, 3), (5, 1), (4, 0), (2, -1)):
             with pytest.raises(DomainError):
-                selberg_quadrature_oracle(2, alpha)
+                aomoto_quadrature_oracle(m, k, 1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            for k in (0, 1):
+                with pytest.raises(DomainError):
+                    aomoto_quadrature_oracle(2, k, alpha)
+            with pytest.raises(DomainError):
+                _closed(3, 1, alpha)
 
     @pytest.mark.parametrize("value, err", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
                                             (math.nan, math.nan)])
     def test_non_finite_integral_is_not_certified(self, monkeypatch, value, err):
         monkeypatch.setattr(identities, "_simplex_integral", lambda m, alpha, moment: (value, err))
-        with pytest.raises(QuadratureFailure):
-            selberg_quadrature_oracle(2, 1.0)
-
-
-class TestAomotoQuadratureOracle:
-    def test_m2_full_moment(self):
-        # int_0^1 l (1 - l) (2l - 1)^2 dl = 1/30
-        assert aomoto_quadrature_oracle(2, 2, 1.0) == pytest.approx(1 / 30, rel=1e-9)
-        assert aomoto_moment_closed(2, 2, 1.0) == pytest.approx(1 / 30, rel=1e-12)
-
-    def test_m2_single_moment_symmetry(self):
-        # the single moment is half of the full mass by symmetry of l <-> 1-l
-        value = aomoto_quadrature_oracle(2, 1, 1.0)
-        mass = selberg_quadrature_oracle(2, 1.0)
-        assert value == pytest.approx(mass / 2, rel=1e-9)
-        assert value == pytest.approx(aomoto_moment_closed(2, 1, 1.0), rel=1e-9)
-
-    def test_matches_closed_form_on_grid(self):
-        for m in (2, 3):
-            tolerance = QUADRATURE_TARGETS[m]
-            for alpha in (1.0, 1.5, 2.0, 3.0):
-                for k in range(1, m + 1):
-                    value = aomoto_quadrature_oracle(m, k, alpha)
-                    closed = aomoto_moment_closed(m, k, alpha)
-                    assert value == pytest.approx(closed, rel=tolerance)
-
-    def test_closed_form_positive(self):
-        for m in (2, 3):
-            for k in range(1, m + 1):
-                assert aomoto_moment_closed(m, k, 1.7) > 0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            aomoto_quadrature_oracle(2, 3, 1.0)
-        with pytest.raises(DomainError):
-            aomoto_quadrature_oracle(5, 1, 1.0)
-        for alpha in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                aomoto_quadrature_oracle(2, 1, alpha)
-            with pytest.raises(DomainError):
-                aomoto_moment_closed(3, 1, alpha)
+        for k in (0, 1):
+            with pytest.raises(QuadratureFailure):
+                aomoto_quadrature_oracle(2, k, 1.0)
 
 
 _INTEGRALS = [(m, alpha, moment) for m in (2, 3) for alpha in (1.0, 1.5, 2.0, 3.0)
@@ -204,3 +191,21 @@ def test_quadrature_records_equal_scalar_reference(tmp_path):
     assert sorted(values) == sorted(_INTEGRALS)
     for (m, alpha, moment), value in values.items():
         assert value == simplex_integral_reference(m, alpha, moment)[0], (m, alpha, moment)
+
+
+def test_quadrature_records_are_the_oracle_and_the_closed_form(tmp_path):
+    out = tmp_path / "q.json"
+    code = main(["identities", "--max-m", "3", "--max-n", "3", "--quadrature", "--workers", "1",
+                 "--out", str(out)])
+    assert code == 0
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    quadrature = [row for row in rows if row["record"] == "quadrature"]
+    # (m, alpha, k) order, k null exactly on the Selberg rows
+    assert [(row["m"], row["alpha"], row["k"], row["name"]) for row in quadrature] == [
+        (m, alpha, k or None, "aomoto_moment" if k else "selberg_simplex")
+        for m in (2, 3) for alpha in (1.0, 1.5, 2.0, 3.0) for k in range(m + 1)]
+    assert len(quadrature) == 28
+    for row in quadrature:
+        m, k, alpha = row["m"], row["k"] or 0, row["alpha"]
+        assert row["closed_form"] == math.exp(aomoto_moment_log(m, k, alpha)), (m, k, alpha)
+        assert row["value"] == aomoto_quadrature_oracle(m, k, alpha), (m, k, alpha)

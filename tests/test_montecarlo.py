@@ -127,6 +127,14 @@ class TestEstimateFunctional:
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             estimate_functional(2, 2, "entropy", 8, seed=0, chunk=4, workers=workers)
 
+    def test_results_past_memory_name_the_chunks(self, monkeypatch):
+        def out_of_memory(fn, tasks, workers):
+            raise MemoryError
+
+        monkeypatch.setattr(montecarlo, "run_ordered", out_of_memory)
+        with pytest.raises(DomainError, match=r"^3 chunks are too many to list$"):
+            estimate_functional(2, 2, "entropy", 9, seed=0, chunk=4)
+
     def test_validation(self):
         with pytest.raises(DimensionOrder):
             estimate_functional(3, 2, "entropy", 100, seed=0)
@@ -283,6 +291,11 @@ class TestConcentrationSweep:
     def test_validation(self):
         with pytest.raises(DomainError):
             concentration_sweep([1, 2], 100, seed=0)
+
+    def test_chunks_of_every_m_counted_in_one_list(self):
+        # 2 * 2^62 tasks are past the largest list, so nothing is allocated
+        with pytest.raises(DomainError, match=f"^{2**63} chunks are too many to list$"):
+            concentration_sweep([2, 3], 2**62, seed=0, chunk=1)
 
     def test_validates_every_m_before_drawing(self, monkeypatch):
         def draw(*args):

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from subent import closedform, identities, quadpack
+from subent import closedform, quadpack
 from subent.cli import EXIT_NUMERICAL, EXIT_VIOLATION, main
 
 
@@ -70,9 +70,9 @@ def test_harmonic_table_fault_fails_identities(tmp_path, h7_off_by_one):
 
 
 def test_aomoto_closed_form_fault_fails_quadrature(tmp_path, monkeypatch):
-    closed = identities.aomoto_moment_closed
-    monkeypatch.setattr(identities, "aomoto_moment_closed",
-                        lambda m, k, alpha: closed(m, k, alpha) * (1 + 1e-3))
+    log = closedform.aomoto_moment_log
+    monkeypatch.setattr(closedform, "aomoto_moment_log",
+                        lambda m, k, alpha: log(m, k, alpha) + 1e-3 * (k > 0))
     code, rows = run(tmp_path, ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"])
     assert code == EXIT_VIOLATION
     failed = [row for row in rows if row.get("ok") is False]
@@ -81,9 +81,9 @@ def test_aomoto_closed_form_fault_fails_quadrature(tmp_path, monkeypatch):
 
 
 def test_normalization_fault_fails_quadrature(tmp_path, monkeypatch):
-    log = closedform.normalization_integral_log
-    monkeypatch.setattr(closedform, "normalization_integral_log",
-                        lambda m, alpha: log(m, alpha) + 1e-3 * (m == 3))
+    log = closedform.aomoto_moment_log
+    monkeypatch.setattr(closedform, "aomoto_moment_log",
+                        lambda m, k, alpha: log(m, k, alpha) + 1e-3 * (m == 3 and k == 0))
     code, rows = run(tmp_path, ["identities", "--max-m", "3", "--max-n", "3", "--quadrature"])
     assert code == EXIT_VIOLATION
     failed = [row for row in rows if row.get("ok") is False]

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import mpmath as mp
 import oracles
+from conftest import source_env
 from mpmath import libmp
 from reference import (
     DensityMatrix,
@@ -485,10 +486,8 @@ class TestOwnLibmp:
             "for t in threads: t.join()\n"
             "assert len(got) == 8 and len(set(got)) == 1, got\n"
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60, env=env)
+                              timeout=60, env=source_env())
         assert proc.returncode == 0, proc.stderr
 
     @given(values=st.lists(st.floats(min_value=5e-324, max_value=1e300, allow_infinity=False),
