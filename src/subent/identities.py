@@ -16,7 +16,7 @@ from fractions import Fraction
 from .closedform import _check_pair, gamma_ratio_terms, harmonic, harmonic_weighted_sum
 from .errors import DomainError, QuadratureFailure
 
-# `quadpack` is imported by the quadrature oracles only, so the exact checks
+# `quadpack` is imported by the quadrature oracle only, so the exact checks
 # (and `subent.cli`, which binds this module) start without it.
 
 #: Relative accuracy the quadrature oracles must certify, per dimension.

@@ -122,7 +122,7 @@ def _run_ordered(fn, tasks, workers: int) -> list:
     except np.linalg.LinAlgError as exc:  # from any chunk's eigensolver, here or in a worker
         raise ConvergenceFailure(str(exc)) from exc
     except MemoryError as exc:  # every chunk's summary is held until the merge
-        raise DomainError(f"{len(tasks)} chunks are too many to list") from exc
+        raise DomainError(f"{len(tasks)} chunks ran out of memory") from exc
 
 
 def _merge(parts: list[MonteCarloEstimate]) -> MonteCarloEstimate:

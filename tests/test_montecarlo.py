@@ -127,12 +127,12 @@ class TestEstimateFunctional:
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             estimate_functional(2, 2, "entropy", 8, seed=0, chunk=4, workers=workers)
 
-    def test_results_past_memory_name_the_chunks(self, monkeypatch):
+    def test_run_past_memory_names_the_chunks(self, monkeypatch):
         def out_of_memory(fn, tasks, workers):
             raise MemoryError
 
         monkeypatch.setattr(montecarlo, "run_ordered", out_of_memory)
-        with pytest.raises(DomainError, match=r"^3 chunks are too many to list$"):
+        with pytest.raises(DomainError, match=r"^3 chunks ran out of memory$"):
             estimate_functional(2, 2, "entropy", 9, seed=0, chunk=4)
 
     def test_validation(self):

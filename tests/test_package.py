@@ -79,9 +79,8 @@ def test_montecarlo_binds_no_other_sampler():
         "print(hasattr(mc, 'haar_blocks'), hasattr(mc, 'pure_blocks'),\n"
         "      sorted(k for k in sys.modules if k.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
-    env = source_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env)
+                          timeout=120, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "[]"]
 
@@ -98,9 +97,8 @@ def test_cli_starts_without_the_quadrature_modules(tmp_path):
         "subent.cli.main(['formula', '--m-range', '1..3', '--n-range', '1..4', '--out', sys.argv[1]])\n"
         "print('subent.quadpack' in sys.modules)"
     )
-    env = source_env()
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "f.json")],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "False"]
 
@@ -113,9 +111,8 @@ def test_closedform_loads_no_numeric_module():
         "import subent.closedform\n"
         "print(sorted(set(sys.modules) & {'subent.qcore', 'numpy', 'mpmath'}))"
     )
-    env = source_env()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env)
+                          timeout=120, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
 
@@ -161,7 +158,6 @@ def test_default_chunk_is_shared_with_montecarlo():
 def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
     # perfbench/inproc.py rebinds subent names from outside the package; a
     # renamed or deleted one fails the traced commands, not the package's tests
-    env = source_env()
     commands = [
         ["entangle", "--m", "3", "--n", "3", "--samples", "4", "--workers", "1"],
         ["estimate", "--m", "3", "--n", "3", "--samples", "4", "--workers", "1"],
@@ -170,7 +166,7 @@ def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "inproc.py"), "--trace", "1",
          "--out-dir", str(tmp_path), "--commands", json.dumps(commands)],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
@@ -181,8 +177,7 @@ def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
 def test_benchmark_selftest_accepts_no_broken_output():
     # perfbench/selftest.py feeds broken command outputs to the benchmark's
     # output checks; a record change that lets one through fails here
-    env = source_env()
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
-                          capture_output=True, text=True, timeout=300, env=env, cwd=ROOT)
+                          capture_output=True, text=True, timeout=300, env=source_env(), cwd=ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: 0 problems" in proc.stdout.splitlines()
