@@ -41,16 +41,11 @@ _FORMULA_WORK = 4 * 10**12
 # where a unit took 0.2-0.8 ns on a 2-core host, so this limit is also a run of
 # at most about a minute.
 _IDENTITIES_WORK = 8 * 10**10
-# concentration's sampling work, in units of samples * sum((m + 10)^3) over the
-# swept m, plus _CHUNK_WORK per chunk: G G^dagger and eigvalsh grow as m^3, the 10
-# charges the fixed cost of a sample that dominates small m (samples * sum(m^3)
-# alone let an m = 2..3 sweep of 10^9 samples run for about half an hour), and a
-# chunk's own stream, arrays and summary took 50-120 us (without that term a
-# --chunk 1 sweep could run for tens of minutes). A unit took 0.4-1.2 ns on a
-# 2-core host at the default chunk, from 2..2 at 10^6 samples to 2..400 at 2, so
-# this limit too is a run of at most about a minute.
+# The drawing commands' sampling work, in the units of montecarlo.sampling_work.
+# A unit took 0.4-1.2 ns on a 2-core host at the default chunk, from
+# concentration --m-range 2..2 at 10^6 samples to 2..400 at 2, so this limit is
+# a run of at most about a minute.
 _CONCENTRATION_WORK = 5 * 10**10
-_CHUNK_WORK = 10**5
 
 
 class UsageError(Exception):
@@ -223,6 +218,39 @@ def _check_pair(args, command: str, min_m: int) -> None:
         raise UsageError("need m <= n")
 
 
+def _bound_sampling(run: str, samples: int, chunks: int, measure: str, work: int) -> None:
+    """Refuse a run whose sampling work is past _CONCENTRATION_WORK, on one
+    line that names it, its samples, its chunks and that work."""
+    from .montecarlo import CHUNK_WORK
+
+    if work > _CONCENTRATION_WORK:
+        raise DomainError(f"{run} at {samples} samples in {chunks} chunks is too "
+                          f"much sampling: samples * {measure} + {CHUNK_WORK} * chunks = {work} "
+                          f"> {_CONCENTRATION_WORK}")
+
+
+def _bound_pair(args, settings) -> None:
+    """Refuse an (m, n) run past the sampling work limit, before any task is listed."""
+    from .montecarlo import sampling_work
+
+    work = sampling_work([(args.m, args.n)], args.samples, settings["chunk"])
+    _bound_sampling(f"m = {args.m}, n = {args.n}", args.samples,
+                    -(-args.samples // settings["chunk"]), "max((m + 10)^3, 64 m n)", work)
+
+
+def _sweep_work(ms: range, samples: int, chunk: int) -> int:
+    """montecarlo.sampling_work of a sweep at n = m, from the range ends.
+
+    64 m^2 <= (m + 10)^3 for every m >= 1, so a sample costs (m + 10)^3; the
+    sum of those is that of k^3 for low < k <= high, and sum(k^3, k <= n) is
+    (n (n + 1))^2 / 4."""
+    from .montecarlo import CHUNK_WORK
+
+    low, high = ms.start + 9, ms.stop + 9
+    chunks = (ms.stop - ms.start) * -(-samples // chunk)
+    return samples * ((high * (high + 1))**2 - (low * (low + 1))**2) // 4 + CHUNK_WORK * chunks
+
+
 def _z_score(mean: float, target: float, stderr: float) -> float:
     if stderr == 0.0:
         if mean == target:
@@ -373,6 +401,7 @@ def _cmd_estimate(args, settings) -> list[dict]:
     _check_pair(args, "estimate", 1)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
+    _bound_pair(args, settings)
     seed, chunking = settings["seed"], {"chunk": settings["chunk"], "workers": settings["workers"]}
     if args.which == "all":
         estimates, _ = montecarlo.estimate_induced(
@@ -398,17 +427,10 @@ def _cmd_concentration(args, settings) -> list[dict]:
         ms = _parse_range("m-range", args.m_range)
         if ms.start < 2:
             raise UsageError("sweep dimensions must be >= 2")
-        # bounded from the range ends, before any task is listed: the sum of
-        # (m + 10)^3 is that of k^3 for low < k <= high, and sum(k^3, k <= n)
-        # is (n (n + 1))^2 / 4
-        low, high = ms.start + 9, ms.stop + 9
+        # bounded from the range ends, before any task is listed
         chunks = (ms.stop - ms.start) * -(-args.samples // settings["chunk"])
-        work = (args.samples * ((high * (high + 1))**2 - (low * (low + 1))**2) // 4
-                + _CHUNK_WORK * chunks)
-        if work > _CONCENTRATION_WORK:
-            raise DomainError(f"--m-range {ms.start}..{ms.stop - 1} at {args.samples} samples in "
-                              f"{chunks} chunks is too much sampling: samples * sum((m + 10)^3) + "
-                              f"{_CHUNK_WORK} * chunks = {work} > {_CONCENTRATION_WORK}")
+        _bound_sampling(f"--m-range {ms.start}..{ms.stop - 1}", args.samples, chunks,
+                        "sum((m + 10)^3)", _sweep_work(ms, args.samples, settings["chunk"]))
         return [
             {
                 "record": "concentration",
@@ -427,6 +449,7 @@ def _cmd_concentration(args, settings) -> list[dict]:
             )
         ]
     _check_pair(args, "concentration (without --m-range)", 3)
+    _bound_pair(args, settings)
     return _tail_rows(args.m, args.n, montecarlo.tail_experiment(
         args.m, args.n, epsilons, args.samples, settings["seed"],
         chunk=settings["chunk"], workers=settings["workers"],
@@ -510,9 +533,11 @@ def _cmd_entangle(args, settings) -> list[dict]:
     _check_pair(args, "entangle", 3)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
+    epsilons = _parse_eps(args.eps)
+    _bound_pair(args, settings)
     est, tails = average_embedded_entanglement(
         args.m, args.n, args.samples, settings["seed"],
-        chunk=settings["chunk"], workers=settings["workers"], epsilons=_parse_eps(args.eps),
+        chunk=settings["chunk"], workers=settings["workers"], epsilons=epsilons,
     )
     target = closedform.average_coherence_exact(args.m, args.n)
     return [_average_row({"record": "entanglement"}, args, est, target)] + _tail_rows(

@@ -10,7 +10,9 @@ workers executed the chunks. Within a chunk the states arrive in the
 cache-sized blocks of `sampling`; only per-sample rows (spectra, diagonals,
 functional values) are kept for the whole chunk, and a chunk too large to
 allocate them, or a sample too large to draw, is a DomainError. A failed sample aborts the whole run;
-nothing is resampled, since that would bias the measure.
+nothing is resampled, since that would bias the measure. One work measure,
+`sampling_work`, sizes the pool of a run; the command line also bounds a run
+by it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,26 @@ from .qcore import entropy_values, subentropy_values
 from .sampling import RngStream, complex_normals, induced_blocks  # noqa: F401
 
 FUNCTIONALS = ("entropy", "subentropy", "coherence")
+# A chunk's own stream, arrays and summary, in work units: it took 50-120 us
+# on a 2-core host, where a unit of sample_work took 0.4-1.2 ns. Without this
+# term a --chunk 1 run within the command line's limit could take tens of minutes.
+CHUNK_WORK = 10**5
+
+
+def sample_work(m: int, n: int) -> int:
+    """The work units of one (m, n) sample: G G^dagger and eigvalsh grow as
+    m^3; the 10 charges the fixed cost of a sample, which dominates small m
+    (m^3 alone let a sweep over m = 2..3 of 10^9 samples pass a limit of
+    about a minute and run for half an hour); and 64 m n charges its m n
+    Gaussians, about 65 ns each, which dominate when n is much larger than m."""
+    return max((m + 10)**3, 64 * m * n)
+
+
+def sampling_work(pairs, samples: int, chunk: int) -> int:
+    """The work of drawing `samples` samples in chunks of `chunk` at each
+    (m, n) of `pairs`: sample_work per sample, CHUNK_WORK per chunk."""
+    chunks = -(-samples // chunk)
+    return sum(samples * sample_work(m, n) + CHUNK_WORK * chunks for m, n in pairs)
 
 
 @dataclass(frozen=True)
@@ -116,9 +138,9 @@ def _tasks(heads: list[tuple], seed: int, samples: int, chunk: int) -> list[tupl
     return tasks
 
 
-def _run_ordered(fn, tasks, workers: int) -> list:
+def _run_ordered(fn, tasks, workers: int, work: int | None = None) -> list:
     try:
-        return run_ordered(fn, tasks, workers)
+        return run_ordered(fn, tasks, workers, work)
     except np.linalg.LinAlgError as exc:  # from any chunk's eigensolver, here or in a worker
         raise ConvergenceFailure(str(exc)) from exc
     except MemoryError as exc:  # every chunk's summary is held until the merge
@@ -195,7 +217,7 @@ def estimate_induced(
     if not all(math.isfinite(e) and e > 0 for e in eps):
         raise DomainError("epsilons must be positive and finite")
     tasks = _tasks([(m, n, which, eps)], seed, samples, chunk)
-    parts = _run_ordered(_induced_chunk, tasks, workers)
+    parts = _run_ordered(_induced_chunk, tasks, workers, sampling_work([(m, n)], samples, chunk))
     estimates = {w: _merge([summaries[w] for summaries, _ in parts]) for w in which}
     center = (m - 1) / (2 * n)
     tails = [
@@ -252,7 +274,8 @@ def concentration_sweep(
     if samples < 2:
         raise DomainError("need at least two samples")
     tasks = _tasks([(m, m, ("coherence",), ()) for m in ms], seed, samples, chunk)
-    parts = _run_ordered(_induced_chunk, tasks, workers)
+    parts = _run_ordered(_induced_chunk, tasks, workers,
+                         sampling_work([(m, m) for m in ms], samples, chunk))
     per_m = -(-samples // chunk)
     rows = []
     for i, m in enumerate(ms):

@@ -4,7 +4,8 @@ On Linux `run_ordered` forks its workers directly: each child inherits the
 function and the tasks, takes task indices from one shared pipe until it is
 empty, and sends back one pickled list over a pipe of its own, so no
 executor, result thread or lock starts, and no `concurrent` or
-`multiprocessing` module is loaded. Where `os.fork` is
+`multiprocessing` module is loaded. A run that states its work forks no
+more workers than that work pays for. Where `os.fork` is
 missing, or the platform is not Linux (macOS forks unsafely once system
 frameworks have started threads), the tasks run in this process; no result
 depends on which way they ran.
@@ -15,6 +16,14 @@ from __future__ import annotations
 import os
 
 _FORKS = hasattr(os, "fork") and os.uname().sysname == "Linux"
+# The work, in the units of `montecarlo.sampling_work` (about 1 ns each), that
+# pays for one worker. A worker beyond the first costs its own fork,
+# copy-on-write faults and numpy.random set-up, about 20 ms of CPU on a 2-core
+# host. There `estimate --m 32 --n 32 --which subentropy --samples 128
+# --chunk 32` (1.0e7 units) spent about 8 % less CPU on one worker than on two,
+# and 10 % more wall time; `--m 16 --n 16 --which all --samples 3072 --chunk
+# 768` (5.4e7 units) took about 20 % longer on one, so it keeps two.
+_WORKER_WORK = 2 * 10**7
 
 
 def usable_cpus() -> int:
@@ -24,11 +33,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_ordered(fn, tasks, workers: int) -> list:
+def run_ordered(fn, tasks, workers: int, work: int | None = None) -> list:
     """[fn(task) for task in tasks], on up to `workers` forked processes.
 
     The workers never exceed the tasks or the CPUs this process may use; with
     one worker, or where this platform does not fork, the tasks run here.
+    Given the run's `work`, a request for several workers forks one per
+    _WORKER_WORK units of it, and at least one: a single forked worker keeps
+    the draw's arrays out of this process, whose peak memory stays that of
+    its start.
     Each worker takes the lowest task index no worker has taken yet, so a
     worker that finishes early takes more, and stops at its first failure.
     Results come back in task order; the exception of the lowest failing task
@@ -40,6 +53,8 @@ def run_ordered(fn, tasks, workers: int) -> list:
     workers = min(workers, len(tasks), usable_cpus())
     if workers < 2 or not _FORKS:
         return [fn(task) for task in tasks]
+    if work is not None:
+        workers = max(1, min(workers, work // _WORKER_WORK))
 
     import pickle
     import sys

@@ -308,7 +308,7 @@ _CLI_CASES = [
 ]
 
 
-def test_10_cli_determinism(tmp_path):
+def test_10_cli_determinism(tmp_path, every_worker_pays):
     start = time.time()
     problems = []
     for index, argv in enumerate(_CLI_CASES):

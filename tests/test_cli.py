@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,8 +17,8 @@ except ImportError:  # not on Windows
     resource = None
 
 import oracles
-from conftest import source_env
-from subent import cli, closedform, estimate_functional, pool
+from conftest import ROOT, source_env
+from subent import cli, closedform, estimate_functional, montecarlo, pool
 from subent.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -33,6 +34,14 @@ from subent.cli import (
 # The pooled-quadrature tests need two CPUs this process may use; below that
 # the CLI runs every task in one process.
 _CPUS = pool.usable_cpus()
+
+
+@pytest.fixture
+def past_the_work_limit(monkeypatch):
+    # The drawing commands refuse these runs by their sampling work before a
+    # task is listed; without that limit they reach the guards that a library
+    # caller of `montecarlo` meets.
+    monkeypatch.setattr(cli, "_CONCENTRATION_WORK", math.inf)
 
 
 def assert_no_child_left():
@@ -183,7 +192,7 @@ class TestEstimate:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
-    def test_reruns_identical_apart_from_manifest(self, tmp_path):
+    def test_reruns_identical_apart_from_manifest(self, tmp_path, every_worker_pays):
         argv = ["estimate", "--m", "2", "--n", "2", "--which", "coherence",
                 "--samples", "3000", "--seed", "11"]
         _, first = run_to_file(tmp_path, "a.json", argv + ["--workers", "1"])
@@ -600,8 +609,8 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("samples, chunk", [(10**17, 10**16), (10**20, 10**18)])
-    def test_chunk_too_large_to_allocate_exits_two(self, tmp_path, capsys, samples, chunk,
-                                                   workers):
+    def test_chunk_too_large_to_allocate_exits_two(self, tmp_path, capsys, past_the_work_limit,
+                                                   samples, chunk, workers):
         # (10**16, 3) floats exceed a 47-bit address space and (10**18, 3) floats
         # numpy's largest array, so neither allocation touches memory
         out = tmp_path / "c.json"
@@ -618,7 +627,8 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("n", [10**20 - 1, 2**40])
-    def test_sample_too_large_to_draw_exits_two(self, tmp_path, capsys, n, workers):
+    def test_sample_too_large_to_draw_exits_two(self, tmp_path, capsys, past_the_work_limit, n,
+                                                workers):
         # one 2 x n sample's uniforms are past numpy's largest array (n near 10**20)
         # or 32 TiB (n = 2**40), so neither draw touches memory
         out = tmp_path / "d.json"
@@ -636,8 +646,8 @@ class TestFailurePaths:
         (10**20 - 1, [], 97656250000000000),  # the default chunk of 1024
         (2**62, ["--chunk", "1"], 2**62),
     ], ids=["default-chunk", "chunk-1"])
-    def test_chunk_list_too_large_to_build_exits_two(self, tmp_path, capsys, samples, chunk,
-                                                     chunks):
+    def test_chunk_list_too_large_to_build_exits_two(self, tmp_path, capsys, past_the_work_limit,
+                                                     samples, chunk, chunks):
         # lists this long are past any address space, so Python refuses them at once
         out = tmp_path / "l.json"
         code = main(["estimate", "--m", "2", "--n", "3", "--samples", str(samples), *chunk,
@@ -651,9 +661,9 @@ class TestFailurePaths:
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("argv, message", [
+        # the work bound's chunk term turns both runs away before their tasks are listed
         (["estimate", "--m", "2", "--n", "2", "--which", "coherence"],
-         "5000000 chunks are too many to list"),
-        # the work bound's chunk term turns this sweep away before its tasks are listed
+         "m = 2, n = 2 at 5000000 samples in 5000000 chunks is too much sampling: "),
         (["concentration", "--m-range", "2..2"],
          "--m-range 2..2 at 5000000 samples in 5000000 chunks is too much sampling: "),
     ], ids=["estimate", "concentration"])
@@ -773,6 +783,52 @@ class TestFailurePaths:
             "numerical failure: --m-range 2..3 at 4 samples in 2 chunks is too much sampling: "
             "samples * sum((m + 10)^3) + 100000 * chunks = 215700 > 215699\n"))
 
+    @pytest.mark.parametrize("argv, m, n, samples, chunks", [
+        (["estimate", "--m", "2", "--n", "2", "--which", "coherence", "--samples", "10000000",
+          "--chunk", "1"], 2, 2, 10**7, 10**7),
+        (["estimate", "--m", "3", "--n", "3", "--samples", str(10**17), "--chunk", str(10**16)],
+         3, 3, 10**17, 10),
+        (["estimate", "--m", "2", "--n", str(2**40), "--samples", "2", "--chunk", "1"],
+         2, 2**40, 2, 2),
+        (["entangle", "--m", "4", "--n", "8", "--samples", str(10**8)], 4, 8, 10**8, 97657),
+        (["concentration", "--m", "3", "--n", str(10**9), "--samples", "4", "--chunk", "2"],
+         3, 10**9, 4, 2),
+    ], ids=["many-chunks", "many-samples", "large-n", "entangle", "concentration-pair"])
+    def test_sampling_past_work_limit_exits_two(self, tmp_path, monkeypatch, capsys, argv, m, n,
+                                                samples, chunks):
+        def listed(*args):
+            pytest.fail("listed the tasks of a run past the work limit")
+
+        monkeypatch.setattr(montecarlo, "_tasks", listed)
+        work = samples * max((m + 10)**3, 64 * m * n) + 10**5 * chunks
+        out = tmp_path / "w.json"
+        assert main([*argv, "--workers", "2", "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: m = {m}, n = {n} at {samples} samples in {chunks} chunks is too "
+            f"much sampling: samples * max((m + 10)^3, 64 m n) + 100000 * chunks = {work} > "
+            f"{cli._CONCENTRATION_WORK}\n")
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command, m, n, work", [
+        # 4 samples in two chunks: 4 * 13^3 + 10^5 * 2 at m = n = 3, and the
+        # Gaussians' 4 * 64 * 3 * 100 at n = 100
+        ("estimate", 3, 3, 208788), ("estimate", 3, 100, 276800),
+        ("entangle", 3, 3, 208788), ("concentration", 3, 100, 276800),
+    ])
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_sampling_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, command, m, n,
+                                              work, over):
+        monkeypatch.setattr(cli, "_CONCENTRATION_WORK", work - over)
+        out = tmp_path / "w.json"
+        code = main([command, "--m", str(m), "--n", str(n), "--samples", "4", "--chunk", "2",
+                     "--workers", "1", "--out", str(out)])
+        assert code == (EXIT_NUMERICAL if over else EXIT_OK)
+        assert out.exists() == (not over)
+        assert capsys.readouterr().err == ("" if not over else (
+            f"numerical failure: m = {m}, n = {n} at 4 samples in 2 chunks is too much sampling: "
+            f"samples * max((m + 10)^3, 64 m n) + 100000 * chunks = {work} > {work - 1}\n"))
+
     def test_benchmark_sweep_far_below_concentration_limit(self, tmp_path, monkeypatch):
         # the sweep of the benchmark's `tails-small-m` passes a limit 100 times lower
         monkeypatch.setattr(cli, "_CONCENTRATION_WORK", cli._CONCENTRATION_WORK // 100)
@@ -789,6 +845,36 @@ class TestFailurePaths:
         assert capsys.readouterr().err == ("" if code == EXIT_OK else (
             "numerical failure: 1 formula pairs up to mn = 6 are too much exact "
             "arithmetic: (pairs + 1) * mn^2 = 72 > 71\n"))
+
+
+def _benchmark_argv(workload: str) -> list[str]:
+    """The one command of a workload of the benchmark in perfbench/."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    (command,) = workloads[workload]
+    return list(command.argv)
+
+
+@pytest.mark.skipif(not pool._FORKS, reason="the tasks run in one process here")
+class TestPoolSizing:
+    """A drawing run forks one worker per pool._WORKER_WORK units of its
+    sampling work, and at least one, up to --workers."""
+
+    @pytest.mark.parametrize("workload, expected", [("subentropy-m32", 1), ("mc-all-m16", 2)])
+    def test_benchmark_runs(self, tmp_path, forks, workload, expected):
+        argv = _benchmark_argv(workload)
+        _, two = run_to_file(tmp_path, "two.json", argv + ["--workers", "2"])
+        assert len(forks) == expected
+        _, one = run_to_file(tmp_path, "one.json", argv + ["--workers", "1"])
+        assert len(forks) == expected  # --workers 1 runs here
+        assert payload_lines(two) == payload_lines(one)
+
+    @pytest.mark.parametrize("samples, chunk", [(2, 1), (4096, 256), (10**6, 1024), (7, 3)])
+    def test_sweep_closed_form_is_the_summed_measure(self, samples, chunk):
+        for low in range(2, 41):
+            for high in range(low, 41):
+                ms = range(low, high + 1)
+                assert cli._sweep_work(ms, samples, chunk) == montecarlo.sampling_work(
+                    [(m, m) for m in ms], samples, chunk), (ms, samples, chunk)
 
 
 class TestJsonRecords:

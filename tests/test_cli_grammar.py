@@ -6,7 +6,7 @@ runs each in-process. The work of one example is bounded: `--workers` and
 the default worker count are at most 2, m·n·samples is capped, and so is
 the chunk count. Sizes past 2**63 stay in, because every command rejects
 them before it draws or sums anything, and so do `formula` sizes past its
-exact-work limit.
+exact-work limit and sample counts past the drawing commands' work limit.
 """
 
 import contextlib
@@ -20,13 +20,18 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
-from subent import DEFAULT_CHUNK, cli
+from subent import DEFAULT_CHUNK, cli, montecarlo
 from subent.cli import _violates, main
 
 _HUGE = (10**20, 2**64, 2**63)
 # the huge sizes of formula's --m and --n: below 2**63 but past its exact-work
 # limit even at m = 1, the first n with (1 + 1) * n^2 over it and 10**18
 _FORMULA_HUGE = (math.isqrt(cli._FORMULA_WORK // 2) + 1, 10**18)
+# the huge --samples of the drawing commands: below 2**63 but past their
+# sampling-work limit even at m = n = 1 in one chunk, the first such count and
+# 10**18
+_SAMPLES_HUGE = ((cli._CONCENTRATION_WORK - montecarlo.CHUNK_WORK) // montecarlo.sample_work(1, 1)
+                 + 1, 10**18)
 _EDGE_STRINGS = ["", "nan", "inf", "1e3", "1.5", "-0", "0x10", "abc", " 4 ", "+3", "1_0",
                  "٣", "２"]  # an Arabic-Indic 3 and a fullwidth 2, which int() reads
 
@@ -80,8 +85,10 @@ def _runs(draw):
     Half the runs are clean: a command, valid values, --m and --n given and
     in order, and no stray argument, so that most of them reach the records.
     A quarter are clean but for one size past 2**63 (in `formula`'s --m or
-    --n, one below it but past the exact-work limit). In the rest a value is
-    an edge value one time in five.
+    --n, one below it but past the exact-work limit); in half of those of the
+    drawing commands the size is instead a --samples below 2**63 but past the
+    sampling-work limit, at --chunk 1 one time in two, and the rest of the run
+    valid. In the rest a value is an edge value one time in five.
     """
     mode = draw(st.sampled_from(["clean", "clean", "huge", "noisy"]))
     clean = mode != "noisy"
@@ -106,7 +113,13 @@ def _runs(draw):
                 low, high = max(low, 3), max(high, 3)
             pairs = [(f, str({m: low, n: high}.get(f, v))) for f, v in pairs]
     sizes = [i for i, (f, _) in enumerate(pairs) if f in _SIZE_FLAGS]
-    if mode == "huge" and sizes:
+    if mode == "huge" and "--samples" in flags and draw(st.booleans()):
+        # every other value valid, so the work limit is what ends the run
+        pairs = [p for p in _valid_sweep(pairs) if p[0] != "--samples"]
+        pairs.append(("--samples", str(draw(st.sampled_from(_SAMPLES_HUGE)))))
+        if draw(st.booleans()):
+            pairs = [p for p in pairs if p[0] != "--chunk"] + [("--chunk", "1")]
+    elif mode == "huge" and sizes:
         flag = pairs[draw(st.sampled_from(sizes))][0]
         plain_formula = command == "formula" and not flag.endswith("range")
         huge = draw(st.sampled_from(_FORMULA_HUGE if plain_formula else _HUGE))
@@ -135,6 +148,18 @@ def _runs(draw):
     return command, pairs, extra, env, config, out
 
 
+def _valid_sweep(pairs):
+    """A --m-range that starts at 2 or above, and without --m or --n."""
+    if "--m-range" not in dict(pairs):
+        return pairs
+    return [(f, f"{max(2, int(v.partition('..')[0]))}..{max(2, int(v.partition('..')[2]))}"
+             if f == "--m-range" else v) for f, v in pairs if f not in ("--m", "--n")]
+
+
+def _past_sampling_limit(pairs) -> bool:
+    return dict(pairs).get("--samples") in {str(v) for v in _SAMPLES_HUGE}
+
+
 def _int(text):
     try:
         return int(text)
@@ -150,7 +175,7 @@ def _cost(command, pairs, extra=(), config=None) -> float:
     sizes = [v for flag, v in value.items() if flag not in ("--seed", "--chunk") and v is not None]
     ranges = [given[flag].partition("..") for flag in ("--m-range", "--n-range") if flag in given]
     range_ends = [_int(part) for lo, _, hi in ranges for part in (lo, hi)]
-    if any(v is not None and v >= 2**63 for v in sizes + range_ends):
+    if any(v is not None and v >= 2**63 for v in sizes + range_ends) or _past_sampling_limit(pairs):
         return 0.0
     def dim(flag):
         return max(1, value.get(flag) or 1)
@@ -194,6 +219,10 @@ def _lines_hold_records(text: str) -> list[dict]:
     return records[1:]
 
 
+def _no_tasks(*args):
+    raise AssertionError("listed the tasks of a run past the sampling-work limit")
+
+
 def _reject(constant):
     raise AssertionError(f"{constant} is not JSON")
 
@@ -212,6 +241,8 @@ def test_every_argv_ends_in_a_documented_exit(run):
         for name, value in env.items():
             patch.setenv(cli.ENV_PREFIX + name, value)
         patch.setattr(cli, "usable_cpus", lambda: 2)  # the default worker count
+        if _past_sampling_limit(pairs):
+            patch.setattr(montecarlo, "_tasks", _no_tasks)
         if config is not None:
             path = workdir / "subent.cfg"
             if isinstance(config, bytes):
@@ -228,6 +259,10 @@ def test_every_argv_ends_in_a_documented_exit(run):
         written = target.read_text(encoding="utf-8") if target is not None and target.exists() else None
 
     assert code in (0, 1, 2, 3), argv
+    if _past_sampling_limit(pairs):
+        chunk = dict(pairs).get("--chunk", "unset")
+        event(f"{command} past the sampling-work limit at --chunk {chunk}")
+        assert code == 2 and " is too much sampling: " in stderr.getvalue(), argv
     event(f"{command} exits {code}")
     if code in (1, 2):
         err = stderr.getvalue()

@@ -137,7 +137,7 @@ class TestAverage:
         estimates, expected_tails = estimate_induced(3, 4, 700, 3, ("coherence",), **kwargs)
         assert (est, tails) == (estimates["coherence"], expected_tails)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, every_worker_pays):
         a, _ = average_embedded_entanglement(3, 4, 2000, seed=8, workers=1)
         b, _ = average_embedded_entanglement(3, 4, 2000, seed=8, workers=2)
         assert (a.mean, a.variance, a.count) == (b.mean, b.variance, b.count)

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -80,12 +79,12 @@ class TestEstimateFunctional:
         b = estimate_functional(3, 3, "coherence", 3000, seed=11)
         assert (a.mean, a.variance, a.count) == (b.mean, b.variance, b.count)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, every_worker_pays):
         a = estimate_functional(2, 3, "entropy", 4000, seed=5, workers=1)
         b = estimate_functional(2, 3, "entropy", 4000, seed=5, workers=3)
         assert (a.mean, a.variance, a.count) == (b.mean, b.variance, b.count)
 
-    def test_chunk_size_changes_nothing_but_grouping(self):
+    def test_chunk_size_changes_nothing_but_grouping(self, every_worker_pays):
         # the chunk size is part of the reproducibility key, so only compare
         # a chunked run against itself
         a = estimate_functional(2, 2, "coherence", 2500, seed=9, chunk=512)
@@ -119,7 +118,8 @@ class TestEstimateFunctional:
         assert 1.7 <= ratio <= 2.3  # ideal factor is 2
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_eigensolver_failure_is_convergence_failure(self, monkeypatch, workers):
+    def test_eigensolver_failure_is_convergence_failure(self, monkeypatch, workers,
+                                                        every_worker_pays):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -128,7 +128,7 @@ class TestEstimateFunctional:
             estimate_functional(2, 2, "entropy", 8, seed=0, chunk=4, workers=workers)
 
     def test_run_past_memory_names_the_chunks(self, monkeypatch):
-        def out_of_memory(fn, tasks, workers):
+        def out_of_memory(fn, tasks, workers, work=None):
             raise MemoryError
 
         monkeypatch.setattr(montecarlo, "run_ordered", out_of_memory)
@@ -162,7 +162,7 @@ class TestIsospectral:
         est = estimate_isospectral_coherence(spec, 20000, seed=3)
         assert abs(est.mean - isospectral_average_coherence(spec)) <= 5 * est.stderr
 
-    def test_deterministic(self):
+    def test_deterministic(self, every_worker_pays):
         spec = Spectrum([0.5, 0.3, 0.2])
         a = estimate_isospectral_coherence(spec, 2000, seed=4, workers=1)
         b = estimate_isospectral_coherence(spec, 2000, seed=4, workers=2)
@@ -260,17 +260,9 @@ class TestPoolSize:
         [(64, 3, [3]), (2, 3, [2]), (64, 16, [8]), (4, 1, [])],
     )
     @pytest.mark.skipif(not pool._FORKS, reason="the tasks run in one process here")
-    def test_capped_at_tasks_and_usable_cpus(self, monkeypatch, workers, cpus, expected):
+    def test_capped_at_tasks_and_usable_cpus(self, monkeypatch, every_worker_pays, forks, workers,
+                                             cpus, expected):
         # 8 chunks; the spy counts the workers the runner really forks
-        forks, fork = [], os.fork
-
-        def counted_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(pool.os, "fork", counted_fork)
         monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         est = estimate_functional(2, 2, "coherence", 8 * 16, seed=3, chunk=16, workers=workers)

@@ -34,6 +34,19 @@ def test_results_in_task_order(four_cpus, workers):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers, work, expected", [
+    (3, 0, 1), (3, 2 * pool._WORKER_WORK - 1, 1), (3, 2 * pool._WORKER_WORK, 2), (3, 10**30, 3),
+    (1, 10**30, 0),
+])
+def test_work_sizes_the_workers(forks, four_cpus, workers, work, expected):
+    # one worker per _WORKER_WORK units, and at least one, up to the number
+    # asked for; one asked for runs here
+    tasks = list(range(8))
+    assert pool.run_ordered(square, tasks, workers, work) == [square(task) for task in tasks]
+    assert len(forks) == expected
+    assert_no_child_left()
+
+
 def test_lowest_failing_task_wins(four_cpus):
     def fail_at_three_and_six(task):
         if task in (3, 6):
