@@ -162,7 +162,7 @@ class TestIsospectral:
         est = estimate_isospectral_coherence(spec, 20000, seed=3)
         assert abs(est.mean - isospectral_average_coherence(spec)) <= 5 * est.stderr
 
-    def test_deterministic(self, every_worker_pays):
+    def test_deterministic(self):
         spec = Spectrum([0.5, 0.3, 0.2])
         a = estimate_isospectral_coherence(spec, 2000, seed=4, workers=1)
         b = estimate_isospectral_coherence(spec, 2000, seed=4, workers=2)
