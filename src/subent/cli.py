@@ -45,7 +45,7 @@ _IDENTITIES_WORK = 8 * 10**10
 # A unit took 0.4-1.2 ns on a 2-core host at the default chunk, from
 # concentration --m-range 2..2 at 10^6 samples to 2..400 at 2, so this limit is
 # a run of at most about a minute.
-_CONCENTRATION_WORK = 5 * 10**10
+_SAMPLING_WORK = 5 * 10**10
 
 
 class UsageError(Exception):
@@ -182,9 +182,9 @@ def _resolve(flag_value, env_name, config: dict, key: str, default, cast):
     return default
 
 
-def _parse_range(flag: str, text: str) -> range:
-    """The integers of `--flag A..B`, not listed; a count past the largest
-    list is a DomainError naming the flag."""
+def _parse_range(text: str) -> range:
+    """The integers of `A..B`, not listed: a range is bounded only by the
+    work of its run."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise UsageError(f"ranges look like A..B, got {text!r}")
@@ -194,8 +194,6 @@ def _parse_range(flag: str, text: str) -> range:
         raise UsageError(f"ranges need integer endpoints, got {text!r}") from exc
     if lo_i > hi_i or lo_i < 1:
         raise UsageError(f"empty or invalid range {text!r}")
-    if hi_i - lo_i + 1 > sys.maxsize:
-        raise DomainError(f"--{flag} holds {hi_i - lo_i + 1} values, too many to list")
     return range(lo_i, hi_i + 1)
 
 
@@ -218,37 +216,34 @@ def _check_pair(args, command: str, min_m: int) -> None:
         raise UsageError("need m <= n")
 
 
-def _bound_sampling(run: str, samples: int, chunks: int, measure: str, work: int) -> None:
-    """Refuse a run whose sampling work is past _CONCENTRATION_WORK, on one
-    line that names it, its samples, its chunks and that work."""
-    from .montecarlo import CHUNK_WORK
-
-    if work > _CONCENTRATION_WORK:
-        raise DomainError(f"{run} at {samples} samples in {chunks} chunks is too "
-                          f"much sampling: samples * {measure} + {CHUNK_WORK} * chunks = {work} "
-                          f"> {_CONCENTRATION_WORK}")
+def _refuse_past(limit: int, work: int, run: str, measure: str) -> None:
+    """Refuse a run whose work is past its command's limit, on one line that
+    names the run, the measure and that work."""
+    if work > limit:
+        raise DomainError(f"{run}: {measure} = {work} > {limit}")
 
 
-def _bound_pair(args, settings) -> None:
-    """Refuse an (m, n) run past the sampling work limit, before any task is listed."""
-    from .montecarlo import sampling_work
+def _bound_sampling(args, settings, ms: range | None = None) -> None:
+    """Refuse a drawing run whose montecarlo.sampling_work is past
+    _SAMPLING_WORK, before any task is listed: that of the (m, n) pair or,
+    with `ms`, that of the sweep at n = m, from the range ends.
 
-    work = sampling_work([(args.m, args.n)], args.samples, settings["chunk"])
-    _bound_sampling(f"m = {args.m}, n = {args.n}", args.samples,
-                    -(-args.samples // settings["chunk"]), "max((m + 10)^3, 64 m n)", work)
+    64 m^2 <= (m + 10)^3 for every m >= 1, so a swept sample costs (m + 10)^3;
+    the sum of those is that of k^3 for low < k <= high, and sum(k^3, k <= n)
+    is (n (n + 1))^2 / 4."""
+    from .montecarlo import CHUNK_WORK, sample_work
 
-
-def _sweep_work(ms: range, samples: int, chunk: int) -> int:
-    """montecarlo.sampling_work of a sweep at n = m, from the range ends.
-
-    64 m^2 <= (m + 10)^3 for every m >= 1, so a sample costs (m + 10)^3; the
-    sum of those is that of k^3 for low < k <= high, and sum(k^3, k <= n) is
-    (n (n + 1))^2 / 4."""
-    from .montecarlo import CHUNK_WORK
-
-    low, high = ms.start + 9, ms.stop + 9
-    chunks = (ms.stop - ms.start) * -(-samples // chunk)
-    return samples * ((high * (high + 1))**2 - (low * (low + 1))**2) // 4 + CHUNK_WORK * chunks
+    chunks = -(-args.samples // settings["chunk"])
+    if ms is None:
+        run, measure = f"m = {args.m}, n = {args.n}", "max((m + 10)^3, 64 m n)"
+        units = sample_work(args.m, args.n)
+    else:
+        run, measure = f"--m-range {ms.start}..{ms.stop - 1}", "sum((m + 10)^3)"
+        low, high, chunks = ms.start + 9, ms.stop + 9, chunks * (ms.stop - ms.start)
+        units = ((high * (high + 1))**2 - (low * (low + 1))**2) // 4
+    _refuse_past(_SAMPLING_WORK, args.samples * units + CHUNK_WORK * chunks,
+                 f"{run} at {args.samples} samples in {chunks} chunks is too much sampling",
+                 f"samples * {measure} + {CHUNK_WORK} * chunks")
 
 
 def _z_score(mean: float, target: float, stderr: float) -> float:
@@ -313,8 +308,8 @@ def _cmd_formula(args, settings) -> list[dict]:
     if args.m_range or args.n_range:
         if (args.m_range or args.m) is None or (args.n_range or args.n) is None:
             raise UsageError("sweeps need both --m/--m-range and --n/--n-range")
-        ms = _parse_range("m-range", args.m_range) if args.m_range else _single("m", args.m)
-        ns = _parse_range("n-range", args.n_range) if args.n_range else _single("n", args.n)
+        ms = _parse_range(args.m_range) if args.m_range else _single("m", args.m)
+        ns = _parse_range(args.n_range) if args.n_range else _single("n", args.n)
     else:
         _check_pair(args, "formula (without ranges)", 1)
         ms, ns = range(args.m, args.m + 1), range(args.n, args.n + 1)
@@ -327,12 +322,11 @@ def _cmd_formula(args, settings) -> list[dict]:
     low = max(0, min(top_m, ns.start) - ms.start + 1)
     first = max(ms.start, ns.start + 1)
     high = max(0, top_m - first + 1)
-    count = low * len(ns) + high * (last_n + 1) - (first + top_m) * high // 2
+    count = low * (ns.stop - ns.start) + high * (last_n + 1) - (first + top_m) * high // 2
     top = top_m * last_n
-    work = (count + 1) * top**2
-    if work > _FORMULA_WORK:
-        raise DomainError(f"{count} formula pairs up to mn = {top} are too much exact "
-                          f"arithmetic: (pairs + 1) * mn^2 = {work} > {_FORMULA_WORK}")
+    _refuse_past(_FORMULA_WORK, (count + 1) * top**2,
+                 f"{count} formula pairs up to mn = {top} are too much exact arithmetic",
+                 "(pairs + 1) * mn^2")
     pairs = [(m, n) for m in range(ms.start, top_m + 1) for n in range(max(m, ns.start), ns.stop)]
     # Every average is an integer numerator over one harmonic denominator L
     # (2nL for the entropy); each printed value is reduced once.
@@ -401,7 +395,7 @@ def _cmd_estimate(args, settings) -> list[dict]:
     _check_pair(args, "estimate", 1)
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
-    _bound_pair(args, settings)
+    _bound_sampling(args, settings)
     seed, chunking = settings["seed"], {"chunk": settings["chunk"], "workers": settings["workers"]}
     if args.which == "all":
         estimates, _ = montecarlo.estimate_induced(
@@ -424,13 +418,10 @@ def _cmd_concentration(args, settings) -> list[dict]:
     epsilons = _parse_eps(args.eps)
     if args.m_range:
         _reject_overridden(args, "m-range", ("m", "n"))
-        ms = _parse_range("m-range", args.m_range)
+        ms = _parse_range(args.m_range)
         if ms.start < 2:
             raise UsageError("sweep dimensions must be >= 2")
-        # bounded from the range ends, before any task is listed
-        chunks = (ms.stop - ms.start) * -(-args.samples // settings["chunk"])
-        _bound_sampling(f"--m-range {ms.start}..{ms.stop - 1}", args.samples, chunks,
-                        "sum((m + 10)^3)", _sweep_work(ms, args.samples, settings["chunk"]))
+        _bound_sampling(args, settings, ms)
         return [
             {
                 "record": "concentration",
@@ -449,7 +440,7 @@ def _cmd_concentration(args, settings) -> list[dict]:
             )
         ]
     _check_pair(args, "concentration (without --m-range)", 3)
-    _bound_pair(args, settings)
+    _bound_sampling(args, settings)
     return _tail_rows(args.m, args.n, montecarlo.tail_experiment(
         args.m, args.n, epsilons, args.samples, settings["seed"],
         chunk=settings["chunk"], workers=settings["workers"],
@@ -468,11 +459,10 @@ def _cmd_identities(args, settings) -> list[dict]:
                  for alpha in QUADRATURE_ALPHAS for k in range(m + 1)] if args.quadrature else []
     # rows m = 1 .. max_m of max_n - m + 1 pairs each, bounded before they are listed
     count = args.max_m * (2 * args.max_n - args.max_m + 1) // 2
-    work = (count + 1) * (args.max_m + args.max_n) * (args.max_m + math.isqrt(args.max_n))**2
-    if work > _IDENTITIES_WORK:
-        raise DomainError(f"{count} (m, n) pairs up to m = {args.max_m}, n = {args.max_n} are "
-                          f"too much exact arithmetic: (pairs + 1) * (m + n) * (m + isqrt(n))^2"
-                          f" = {work} > {_IDENTITIES_WORK}")
+    _refuse_past(_IDENTITIES_WORK,
+                 (count + 1) * (args.max_m + args.max_n) * (args.max_m + math.isqrt(args.max_n))**2,
+                 f"{count} (m, n) pairs up to m = {args.max_m}, n = {args.max_n} are too much "
+                 "exact arithmetic", "(pairs + 1) * (m + n) * (m + isqrt(n))^2")
     pairs = [(m, n) for m in range(1, args.max_m + 1) for n in range(m, args.max_n + 1)]
     tasks = integrals + pairs
     # One run over the integrals, then the exact checks: a worker takes the
@@ -534,7 +524,7 @@ def _cmd_entangle(args, settings) -> list[dict]:
     if args.samples < 2:
         raise UsageError("--samples must be >= 2")
     epsilons = _parse_eps(args.eps)
-    _bound_pair(args, settings)
+    _bound_sampling(args, settings)
     est, tails = average_embedded_entanglement(
         args.m, args.n, args.samples, settings["seed"],
         chunk=settings["chunk"], workers=settings["workers"], epsilons=epsilons,

@@ -154,14 +154,6 @@ def _merge(parts: list[MonteCarloEstimate]) -> MonteCarloEstimate:
     return merged
 
 
-def _functional_samples(which: str, lams: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    if which == "entropy":
-        return entropy_values(lams)
-    if which == "subentropy":
-        return subentropy_values(lams)
-    return np.maximum(entropy_values(diag) - entropy_values(lams), 0.0)
-
-
 def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
     """Summaries of the functionals in `which` and, per epsilon, the number of
     coherence samples farther than it from the center, all from one draw."""
@@ -183,7 +175,11 @@ def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
     np.clip(lams, 0.0, None, out=lams)
     np.clip(diag, 0.0, None, out=diag)
     needed = set(which) | ({"coherence"} if epsilons else set())
-    values = {w: _functional_samples(w, lams, diag) for w in needed}
+    values = {"entropy": entropy_values(lams)} if needed & {"entropy", "coherence"} else {}
+    if "subentropy" in needed:
+        values["subentropy"] = subentropy_values(lams)
+    if "coherence" in needed:
+        values["coherence"] = np.maximum(entropy_values(diag) - values["entropy"], 0.0)
     deviation = np.abs(values["coherence"] - (m - 1) / (2 * n)) if epsilons else None
     summaries = {w: MonteCarloEstimate.from_samples(values[w]) for w in which}
     return summaries, [int((deviation > eps).sum()) for eps in epsilons]

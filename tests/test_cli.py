@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -18,7 +19,7 @@ except ImportError:  # not on Windows
 
 import oracles
 from conftest import ROOT, source_env
-from subent import cli, closedform, estimate_functional, montecarlo, pool
+from subent import DEFAULT_CHUNK, cli, closedform, estimate_functional, montecarlo, pool
 from subent.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -29,11 +30,19 @@ from subent.cli import (
     _z_score,
     main,
 )
+from subent.errors import DomainError
 
 
 # The pooled-quadrature tests need two CPUs this process may use; below that
 # the CLI runs every task in one process.
 _CPUS = pool.usable_cpus()
+
+# A range end past the largest list, and the chunks and sampling work of
+# `concentration --m-range 2.._LONG` at the default samples and chunk: the sum
+# of k^3 for k <= n is C(n + 1, 2)^2, here for 12 <= k <= _LONG + 10.
+_LONG = 10**20 - 1
+_LONG_CHUNKS = (_LONG - 1) * -(-10000 // DEFAULT_CHUNK)
+_LONG_SWEEP_WORK = 10000 * (math.comb(_LONG + 11, 2)**2 - math.comb(12, 2)**2) + 10**5 * _LONG_CHUNKS
 
 
 @pytest.fixture
@@ -41,7 +50,7 @@ def past_the_work_limit(monkeypatch):
     # The drawing commands refuse these runs by their sampling work before a
     # task is listed; without that limit they reach the guards that a library
     # caller of `montecarlo` meets.
-    monkeypatch.setattr(cli, "_CONCENTRATION_WORK", math.inf)
+    monkeypatch.setattr(cli, "_SAMPLING_WORK", math.inf)
 
 
 def assert_no_child_left():
@@ -103,6 +112,18 @@ class TestFormula:
         # manifest and exit 0
         argv = ["formula", "--m-range", "5..6", "--n-range", "1..2", "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
+
+    def test_range_past_largest_list_beside_short_range(self, tmp_path):
+        # only m <= 3 pairs with an n in 1..3, so the long --m-range is never listed
+        code, long = run_to_file(tmp_path, "long.json",
+                                 ["formula", "--m-range", f"1..{10**20}", "--n-range", "1..3"])
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in payload_lines(long)]
+        assert [(row["m"], row["n"]) for row in rows] == [
+            (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+        _, short = run_to_file(tmp_path, "short.json",
+                               ["formula", "--m-range", "1..3", "--n-range", "1..3"])
+        assert payload_lines(long) == payload_lines(short)
 
     @pytest.mark.parametrize("argv, flag", [
         (["--m", "0", "--n-range", "1..3"], "m"),
@@ -710,17 +731,22 @@ class TestFailurePaths:
             "arithmetic: (pairs + 1) * (m + n) * (m + isqrt(n))^2 = 270 > 269\n"))
 
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
-    @pytest.mark.parametrize("argv, flag, count", [
-        (["formula", "--m-range", "1..2", "--n-range", f"1..{10**20 - 1}"], "n-range",
-         10**20 - 1),
-        (["concentration", "--m-range", f"2..{10**20 - 1}"], "m-range", 10**20 - 2),
+    @pytest.mark.parametrize("argv, refusal", [
+        # 2 _LONG - 1 pairs up to mn = 2 _LONG
+        (["formula", "--m-range", "1..2", "--n-range", f"1..{_LONG}"],
+         f"{2 * _LONG - 1} formula pairs up to mn = {2 * _LONG} are too much exact arithmetic: "
+         f"(pairs + 1) * mn^2 = {2 * _LONG * (2 * _LONG)**2} > {cli._FORMULA_WORK}"),
+        (["concentration", "--m-range", f"2..{_LONG}"],
+         f"--m-range 2..{_LONG} at 10000 samples in {_LONG_CHUNKS} chunks is too much sampling: "
+         f"samples * sum((m + 10)^3) + 100000 * chunks = {_LONG_SWEEP_WORK} > {cli._SAMPLING_WORK}"),
     ], ids=["formula-past-largest-list", "concentration-past-largest-list"])
-    def test_range_too_long_to_list_exits_two(self, tmp_path, argv, flag, count):
+    def test_range_too_long_to_list_exits_two(self, tmp_path, argv, refusal):
+        # a range longer than any list is refused by the work of its run
         out = tmp_path / "r.json"
         proc = _run_capped([*argv, "--workers", "2", "--out", str(out)])
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stdout == ""
-        assert proc.stderr == f"numerical failure: --{flag} holds {count} values, too many to list\n"
+        assert proc.stderr == f"numerical failure: {refusal}\n"
         assert not out.exists()
 
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
@@ -766,7 +792,7 @@ class TestFailurePaths:
         assert proc.stderr == (
             f"numerical failure: --m-range {m_range} at {samples} samples in {chunks} chunks is "
             f"too much sampling: samples * sum((m + 10)^3) + 100000 * chunks = {work} > "
-            f"{cli._CONCENTRATION_WORK}\n")
+            f"{cli._SAMPLING_WORK}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("limit, code", [(215700, EXIT_OK), (215699, EXIT_NUMERICAL)])
@@ -774,7 +800,7 @@ class TestFailurePaths:
                                                    code):
         # four samples at m = 2 and 3 in one chunk each are
         # 4 * (12^3 + 13^3) + 10^5 * 2 = 215700 units of work
-        monkeypatch.setattr(cli, "_CONCENTRATION_WORK", limit)
+        monkeypatch.setattr(cli, "_SAMPLING_WORK", limit)
         out = tmp_path / "c.json"
         assert main(["concentration", "--m-range", "2..3", "--samples", "4", "--workers", "1",
                      "--out", str(out)]) == code
@@ -806,7 +832,7 @@ class TestFailurePaths:
         assert capsys.readouterr().err == (
             f"numerical failure: m = {m}, n = {n} at {samples} samples in {chunks} chunks is too "
             f"much sampling: samples * max((m + 10)^3, 64 m n) + 100000 * chunks = {work} > "
-            f"{cli._CONCENTRATION_WORK}\n")
+            f"{cli._SAMPLING_WORK}\n")
         assert not out.exists()
         assert_no_child_left()
 
@@ -819,7 +845,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("over", [0, 1])
     def test_sampling_work_limit_is_inclusive(self, tmp_path, monkeypatch, capsys, command, m, n,
                                               work, over):
-        monkeypatch.setattr(cli, "_CONCENTRATION_WORK", work - over)
+        monkeypatch.setattr(cli, "_SAMPLING_WORK", work - over)
         out = tmp_path / "w.json"
         code = main([command, "--m", str(m), "--n", str(n), "--samples", "4", "--chunk", "2",
                      "--workers", "1", "--out", str(out)])
@@ -831,7 +857,7 @@ class TestFailurePaths:
 
     def test_benchmark_sweep_far_below_concentration_limit(self, tmp_path, monkeypatch):
         # the sweep of the benchmark's `tails-small-m` passes a limit 100 times lower
-        monkeypatch.setattr(cli, "_CONCENTRATION_WORK", cli._CONCENTRATION_WORK // 100)
+        monkeypatch.setattr(cli, "_SAMPLING_WORK", cli._SAMPLING_WORK // 100)
         assert main(["concentration", "--m-range", "2..12", "--samples", "4096", "--chunk", "256",
                      "--workers", "1", "--out", str(tmp_path / "c.json")]) == EXIT_OK
 
@@ -869,11 +895,17 @@ class TestPoolSizing:
         assert payload_lines(two) == payload_lines(one)
 
     @pytest.mark.parametrize("samples, chunk", [(2, 1), (4096, 256), (10**6, 1024), (7, 3)])
-    def test_sweep_closed_form_is_the_summed_measure(self, samples, chunk):
+    def test_sweep_closed_form_is_the_summed_measure(self, monkeypatch, samples, chunk):
+        # the work that the sweep's refusal line reports, under a limit below any work
+        monkeypatch.setattr(cli, "_SAMPLING_WORK", -1)
+        args = argparse.Namespace(samples=samples)
         for low in range(2, 41):
             for high in range(low, 41):
                 ms = range(low, high + 1)
-                assert cli._sweep_work(ms, samples, chunk) == montecarlo.sampling_work(
+                with pytest.raises(DomainError) as refusal:
+                    cli._bound_sampling(args, {"chunk": chunk}, ms)
+                work = re.fullmatch(r".* chunks = (\d+) > -1", str(refusal.value))
+                assert int(work[1]) == montecarlo.sampling_work(
                     [(m, m) for m in ms], samples, chunk), (ms, samples, chunk)
 
 

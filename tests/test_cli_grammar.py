@@ -30,7 +30,7 @@ _FORMULA_HUGE = (math.isqrt(cli._FORMULA_WORK // 2) + 1, 10**18)
 # the huge --samples of the drawing commands: below 2**63 but past their
 # sampling-work limit even at m = n = 1 in one chunk, the first such count and
 # 10**18
-_SAMPLES_HUGE = ((cli._CONCENTRATION_WORK - montecarlo.CHUNK_WORK) // montecarlo.sample_work(1, 1)
+_SAMPLES_HUGE = ((cli._SAMPLING_WORK - montecarlo.CHUNK_WORK) // montecarlo.sample_work(1, 1)
                  + 1, 10**18)
 _EDGE_STRINGS = ["", "nan", "inf", "1e3", "1.5", "-0", "0x10", "abc", " 4 ", "+3", "1_0",
                  "٣", "２"]  # an Arabic-Indic 3 and a fullwidth 2, which int() reads

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,30 @@ def test_default_chunk_is_shared_with_montecarlo():
     from subent import montecarlo
 
     assert montecarlo.DEFAULT_CHUNK == subent.DEFAULT_CHUNK == 1024
+
+
+# Each work constant, and a pattern that finds the one figure README states
+# for it, written as 10⁵ or 4·10¹²
+_FIGURE = r"(?:(\d+)·)?10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)"
+_README_FIGURES = [
+    ("cli", "_FORMULA_WORK", rf"- `formula`: [^.]*? past {_FIGURE}\."),
+    ("cli", "_IDENTITIES_WORK", rf"- `identities`: [^.]*? past {_FIGURE}\."),
+    ("cli", "_SAMPLING_WORK",
+     rf"- `estimate`, `entangle` and `concentration`: [^.]*? past {_FIGURE} units"),
+    ("montecarlo", "CHUNK_WORK", rf"A chunk costs {_FIGURE} more"),
+    ("pool", "_WORKER_WORK", rf"one worker per {_FIGURE} units"),
+]
+
+
+@pytest.mark.parametrize("module, name, pattern", _README_FIGURES,
+                         ids=[name for _, name, _ in _README_FIGURES])
+def test_readme_states_the_work_constants(module, name, pattern):
+    # a constant retuned without README fails here
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    (coefficient, exponent), = re.findall(pattern, text)
+    exponent = int(exponent.translate(str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")))
+    constant = getattr(importlib.import_module(f"subent.{module}"), name)
+    assert int(coefficient or 1) * 10**exponent == constant
 
 
 def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
