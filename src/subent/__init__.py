@@ -36,7 +36,6 @@ _EXPORTS = {
         "riordan_identity_check",
     ),
     "montecarlo": (
-        "ConcentrationRow",
         "MonteCarloEstimate",
         "TailReport",
         "concentration_sweep",

@@ -328,22 +328,22 @@ def _cmd_formula(args, settings) -> list[dict]:
                  f"{count} formula pairs up to mn = {top} are too much exact arithmetic",
                  "(pairs + 1) * mn^2")
     pairs = [(m, n) for m in range(ms.start, top_m + 1) for n in range(max(m, ns.start), ns.stop)]
-    # Every average is an integer numerator over one harmonic denominator L
-    # (2nL for the entropy); each printed value is reduced once.
+    # The subentropy and entropy averages are integer numerators over one
+    # harmonic denominator L (2nL for the entropy); each printed value is reduced once.
     a, den = closedform.harmonic_numerators(
         {k for m, n in pairs for k in (m * n, m, *range(n, m + n))})
     rows = []
     for m, n in pairs:
         mn, twice_n = m * n, 2 * n
-        sub = den + a[mn] - a[m] - a[n]
-        ent = twice_n * (a[mn] - a[n]) - (m - 1) * den
+        sub = closedform.subentropy_numerator(m, n, a, den)
+        ent = closedform.entropy_numerator(m, n, a, den)
+        coh = closedform.average_coherence_exact(m, n)
         series = closedform.subentropy_series_numerator(m, n, a)  # over mn L
         series_residual = series - mn * sub
         # (H_m - 1) + sub - ent - coh over 2nL; coh = (m-1)/(2n) is (m-1)L there
         consistency = twice_n * (a[m] - den + sub) - ent - (m - 1) * den
         sub_text, sub_float = _reduced(sub, den)
         ent_text, ent_float = _reduced(ent, twice_n * den)
-        coh_text, coh_float = _reduced(m - 1, twice_n)
         if series_residual:
             series_text, series_float = _reduced(series, mn * den)
         else:
@@ -357,8 +357,8 @@ def _cmd_formula(args, settings) -> list[dict]:
                 "avg_subentropy_float": sub_float,
                 "avg_entropy": ent_text,
                 "avg_entropy_float": ent_float,
-                "avg_coherence": coh_text,
-                "avg_coherence_float": coh_float,
+                "avg_coherence": str(coh),
+                "avg_coherence_float": float(coh),
                 "series": series_text,
                 "series_float": series_float,
                 "series_residual": _reduced(series_residual, mn * den)[0],
@@ -425,19 +425,19 @@ def _cmd_concentration(args, settings) -> list[dict]:
         return [
             {
                 "record": "concentration",
-                "m": row.m,
-                "n": row.m,
+                "m": m,
+                "n": m,
                 "samples": args.samples,
-                "mean": row.mean,
-                "stddev": row.stddev,
-                "stderr": row.stderr,
-                "count": row.count,
-                "target_float": row.target,
+                "mean": est.mean,
+                "stddev": est.stddev,
+                "stderr": est.stderr,
+                "count": est.count,
+                "target_float": float(closedform.average_coherence_exact(m, m)),
             }
-            for row in montecarlo.concentration_sweep(
+            for m, est in zip(ms, montecarlo.concentration_sweep(
                 ms, args.samples, settings["seed"],
                 chunk=settings["chunk"], workers=settings["workers"],
-            )
+            ))
         ]
     _check_pair(args, "concentration (without --m-range)", 3)
     _bound_sampling(args, settings)

@@ -128,18 +128,30 @@ def _check_pair(m: int, n: int) -> None:
         raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
 
 
+def subentropy_numerator(m: int, n: int, a: Mapping[int, int], denominator: int) -> int:
+    """L times the average subentropy 1 + H_mn - H_m - H_n, from harmonic
+    numerators H_k = a[k] / L, L = `denominator`."""
+    return denominator + a[m * n] - a[m] - a[n]
+
+
+def entropy_numerator(m: int, n: int, a: Mapping[int, int], denominator: int) -> int:
+    """2 n L times Page's average entropy H_mn - H_n - (m-1)/(2n), from
+    harmonic numerators H_k = a[k] / L, L = `denominator`."""
+    return 2 * n * (a[m * n] - a[n]) - (m - 1) * denominator
+
+
 def average_subentropy_exact(m: int, n: int) -> Fraction:
     """Average subentropy of the m-dimensional marginal: 1 + H_mn - H_m - H_n."""
     _check_pair(m, n)
     a, denominator = harmonic_numerators((m * n, m, n))
-    return 1 + Fraction(a[m * n] - a[m] - a[n], denominator)
+    return Fraction(subentropy_numerator(m, n, a, denominator), denominator)
 
 
 def average_entropy_exact(m: int, n: int) -> Fraction:
     """Page's average marginal entropy: H_mn - H_n - (m-1)/(2n)."""
     _check_pair(m, n)
     a, denominator = harmonic_numerators((m * n, n))
-    return Fraction(a[m * n] - a[n], denominator) - Fraction(m - 1, 2 * n)
+    return Fraction(entropy_numerator(m, n, a, denominator), 2 * n * denominator)
 
 
 def average_coherence_exact(m: int, n: int) -> Fraction:
@@ -160,5 +172,8 @@ def levy_coherence_bound(m: int, n: int, eps: float) -> float:
         raise DimensionOrder(f"need m <= n, got m={m}, n={n}")
     if not 0 < eps < math.inf:
         raise DomainError("eps must be positive and finite")
-    exponent = m * n * eps**2 / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
+    try:
+        exponent = m * n * eps**2 / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
+    except OverflowError:  # eps^2 past the largest float: the bound is 2 exp(-inf)
+        return 0.0
     return 2.0 * math.exp(-exponent)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_CHUNK
-from .closedform import _check_pair, levy_coherence_bound
+from .closedform import _check_pair, average_coherence_exact, levy_coherence_bound
 from .errors import ConvergenceFailure, DomainError
 from .pool import run_ordered
 from .qcore import entropy_values, subentropy_values
@@ -111,18 +111,6 @@ class TailReport:
             raise ValueError("the empirical fraction must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ConcentrationRow:
-    """Coherence spread at square dimensions n = m for one m."""
-
-    m: int
-    mean: float
-    stddev: float
-    stderr: float
-    count: int
-    target: float
-
-
 def _tasks(heads: list[tuple], seed: int, samples: int, chunk: int) -> list[tuple]:
     """One task per chunk of each head, the chunks of a head consecutive: the
     head, then the seed, chunk index and chunk size."""
@@ -180,7 +168,8 @@ def _induced_chunk(task) -> tuple[dict[str, MonteCarloEstimate], list[int]]:
         values["subentropy"] = subentropy_values(lams)
     if "coherence" in needed:
         values["coherence"] = np.maximum(entropy_values(diag) - values["entropy"], 0.0)
-    deviation = np.abs(values["coherence"] - (m - 1) / (2 * n)) if epsilons else None
+    if epsilons:
+        deviation = np.abs(values["coherence"] - float(average_coherence_exact(m, n)))
     summaries = {w: MonteCarloEstimate.from_samples(values[w]) for w in which}
     return summaries, [int((deviation > eps).sum()) for eps in epsilons]
 
@@ -215,7 +204,7 @@ def estimate_induced(
     tasks = _tasks([(m, n, which, eps)], seed, samples, chunk)
     parts = _run_ordered(_induced_chunk, tasks, workers, sampling_work([(m, n)], samples, chunk))
     estimates = {w: _merge([summaries[w] for summaries, _ in parts]) for w in which}
-    center = (m - 1) / (2 * n)
+    center = float(average_coherence_exact(m, n))
     tails = [
         TailReport(e, center, sum(counts[i] for _, counts in parts) / samples,
                    levy_coherence_bound(m, n, e), samples)
@@ -258,8 +247,8 @@ def concentration_sweep(
     seed: int,
     chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
-) -> list[ConcentrationRow]:
-    """Sample spread of the coherence at n = m across a grid of dimensions.
+) -> list[MonteCarloEstimate]:
+    """The coherence estimate at n = m for each m of a grid of dimensions, in order.
 
     Every dimension is validated before any sample is drawn, and the chunks
     of all dimensions share one set of workers.
@@ -273,10 +262,5 @@ def concentration_sweep(
     parts = _run_ordered(_induced_chunk, tasks, workers,
                          sampling_work([(m, m) for m in ms], samples, chunk))
     per_m = -(-samples // chunk)
-    rows = []
-    for i, m in enumerate(ms):
-        est = _merge([summaries["coherence"] for summaries, _ in parts[i * per_m:(i + 1) * per_m]])
-        rows.append(
-            ConcentrationRow(m, est.mean, est.stddev, est.stderr, est.count, (m - 1) / (2 * m))
-        )
-    return rows
+    return [_merge([summaries["coherence"] for summaries, _ in parts[i:i + per_m]])
+            for i in range(0, len(parts), per_m)]

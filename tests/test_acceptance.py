@@ -240,13 +240,14 @@ def test_08_concentration_and_lipschitz():
     start = time.time()
     problems = []
 
-    rows = concentration_sweep([2, 4, 8, 16], 10_000, seed=800)
-    spreads = [r.stddev for r in rows]
+    ms = [2, 4, 8, 16]
+    estimates = concentration_sweep(ms, 10_000, seed=800)
+    spreads = [est.stddev for est in estimates]
     if not all(a > b for a, b in zip(spreads, spreads[1:])):
         problems.append(("stddev-trend", spreads))
-    for row in rows:
-        if abs(row.mean - row.target) > 5 * row.stderr:
-            problems.append(("sweep-mean", row.m))
+    for m, est in zip(ms, estimates):
+        if abs(est.mean - (m - 1) / (2 * m)) > 5 * est.stderr:
+            problems.append(("sweep-mean", m))
 
     for m in (4, 8, 16):
         for report in tail_experiment(m, m, (0.05, 0.1, 0.2, 1.0), 10_000, seed=801):

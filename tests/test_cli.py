@@ -256,6 +256,18 @@ class TestConcentration:
         assert all(r["ok"] for r in rows)
         assert rows[0]["empirical_fraction"] >= rows[1]["empirical_fraction"]
 
+    @pytest.mark.parametrize("argv", [
+        ["concentration", "--m", "3", "--n", "3", "--samples", "4", "--eps", "1.4e154"],
+        ["entangle", "--m", "3", "--n", "3", "--samples", "4", "--eps", "0.1,1e300"],
+    ], ids=["concentration", "entangle"])
+    def test_eps_past_a_squared_float_bounds_by_zero(self, tmp_path, argv):
+        # eps^2 overflows, so the bound is 2 exp(-inf) = 0, and no sample is that far out
+        code, text = run_to_file(tmp_path, "c.json", argv + ["--workers", "1"])
+        assert code == EXIT_OK
+        tail = records(text)[-1]
+        assert tail["record"] == "tail"
+        assert (tail["levy_bound"], tail["empirical_fraction"], tail["ok"]) == (0.0, 0.0, True)
+
     def test_sweep_mode_stddev_decreases(self, tmp_path):
         code, text = run_to_file(
             tmp_path, "c.json",

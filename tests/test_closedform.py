@@ -306,6 +306,10 @@ class TestLevyBounds:
     def test_vanishes_for_large_eps(self):
         assert levy_coherence_bound(3, 3, 1e6) == pytest.approx(0.0, abs=1e-300)
 
+    @pytest.mark.parametrize("eps", [1.4e154, 1e308])
+    def test_vanishes_where_eps_squared_overflows(self, eps):
+        assert levy_coherence_bound(3, 3, eps) == 0.0
+
     def test_monotone(self):
         assert levy_coherence_bound(3, 3, 0.2) < levy_coherence_bound(3, 3, 0.1)
         assert levy_coherence_bound(3, 9, 0.1) < levy_coherence_bound(3, 3, 0.1)

@@ -277,8 +277,18 @@ class TestConcentrationSweep:
         assert all(a > b for a, b in zip(spreads, spreads[1:]))
 
     def test_means_on_target(self):
-        for row in concentration_sweep([2, 4], 8000, seed=9):
-            assert abs(row.mean - row.target) <= 5 * row.stderr
+        ms = [2, 4]
+        for m, est in zip(ms, concentration_sweep(ms, 8000, seed=9)):
+            assert abs(est.mean - (m - 1) / (2 * m)) <= 5 * est.stderr
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_estimate_per_m_in_order(self, every_worker_pays, workers):
+        # each m's chunks are its own streams, so the sweep's estimate at m is
+        # the one-dimension estimate at the same seed and chunk size
+        ms = [3, 2, 5]
+        swept = concentration_sweep(ms, 700, seed=12, chunk=128, workers=workers)
+        alone = [estimate_functional(m, m, "coherence", 700, seed=12, chunk=128) for m in ms]
+        assert swept == alone
 
     def test_validation(self):
         with pytest.raises(DomainError):

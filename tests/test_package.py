@@ -26,8 +26,8 @@ PUBLIC = {
         "gamma_ratio_sum_plain", "riordan_identity_check",
     ],
     "montecarlo": [
-        "ConcentrationRow", "MonteCarloEstimate", "TailReport", "concentration_sweep",
-        "estimate_functional", "estimate_induced", "tail_experiment",
+        "MonteCarloEstimate", "TailReport", "concentration_sweep", "estimate_functional",
+        "estimate_induced", "tail_experiment",
     ],
     "qcore": ["EULER_GAMMA", "SUBENTROPY_MAX", "Spectrum", "subentropy", "von_neumann_entropy"],
     "sampling": ["RngStream"],

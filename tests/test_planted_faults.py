@@ -46,6 +46,20 @@ def test_series_numerator_fault_fails_formula(tmp_path, monkeypatch):
     assert row["series_residual"] == "1/332640"
 
 
+def test_subentropy_numerator_fault_reaches_formula_and_estimate(tmp_path, monkeypatch):
+    # one statement feeds formula's printed average and estimate's target:
+    # the residual is -1 / L with L = lcm(1..m n), and the target moves by 1 / L
+    numerator = closedform.subentropy_numerator
+    monkeypatch.setattr(closedform, "subentropy_numerator",
+                        lambda m, n, a, denominator: numerator(m, n, a, denominator) + 1)
+    code, (row,) = run(tmp_path, ["formula", "--m", "3", "--n", "4"])
+    assert code == EXIT_VIOLATION
+    assert row["series_residual"] == "-1/27720"
+    code, (row,) = run(tmp_path, ["estimate", "--m", "3", "--n", "4", "--which", "subentropy",
+                                  "--samples", "64"])
+    assert row["target"] == "431/2310"  # 5171/27720 + 1/27720
+
+
 def test_gamma_ratio_term_fault_fails_formula(tmp_path, monkeypatch):
     terms = closedform.gamma_ratio_terms
     monkeypatch.setattr(closedform, "gamma_ratio_terms",
